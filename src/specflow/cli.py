@@ -119,13 +119,16 @@ def specmap(minus_at, plus_at, re_vals, im_vals, jobs=1, scan_points=200):
     def hyp(rec):
         return rec["hyp_minus"] and rec["hyp_plus"]
 
+    def both_hyperbolic(lam):
+        return (is_hyperbolic(minus_at(lam)).hyperbolic
+                and is_hyperbolic(plus_at(lam)).hyperbolic)
+
     def bisect(lam_a, lam_b):
+        # lam_a only moves to midpoints that share its hyperbolicity
+        good_a = both_hyperbolic(lam_a)
         for _ in range(48):
             mid = 0.5 * (lam_a + lam_b)
-            good = (is_hyperbolic(minus_at(mid)).hyperbolic
-                    and is_hyperbolic(plus_at(mid)).hyperbolic)
-            if good == (is_hyperbolic(minus_at(lam_a)).hyperbolic
-                        and is_hyperbolic(plus_at(lam_a)).hyperbolic):
+            if both_hyperbolic(mid) == good_a:
                 lam_a = mid
             else:
                 lam_b = mid

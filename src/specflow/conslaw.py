@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .errors import (DegeneracyViolated, IndexMismatch, NewtonDiverged,
+from .errors import (ConfigurationError, DegeneracyViolated, IndexMismatch,
                      NonrealSpectrum, RepeatedSpeeds, SingularMatrix)
-from .griddisc import Grid, weight_exponent
+from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
+                       newton_solve, trapezoid_weights)
 from .kernels import TransformedKernel
 from .symbols import ShiftTerm, Symbol
 from .flow import weighted_index
@@ -201,7 +202,7 @@ def linearization_index(model, eta):
     """
     sym = linearization_symbol(model)
     if not 0 < eta < sym.eta:
-        raise ValueError(f"need 0 < eta < {sym.eta:g}")
+        raise ConfigurationError(f"need 0 < eta < {sym.eta:g}")
     return weighted_index(sym, -eta, eta)
 
 
@@ -234,41 +235,21 @@ class ShockSolution:
         return d if self.basis is None else self.basis @ d
 
 
-def _fd4_matrix(m, h):
-    """Fourth-order first-derivative matrix with one-sided closures."""
-    D = np.zeros((m, m))
-    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    for i in range(2, m - 2):
-        D[i, i - 2:i + 3] = c
-    e = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-    for i in (0, 1):
-        D[i, i:i + 5] = e
-    for i in (m - 1, m - 2):
-        D[i, i - 4:i + 1] = -e[::-1]
-    return D
-
-
-class _ShockSystem:
+class _ShockSystem(WeightedWindow):
     """Discrete residual and Jacobian for the stationary layer equation.
 
-    The correction unknowns are V = W_w * W on the nodes with
-    |x| <= L - pad; V is pinned to zero on the outer pad.  This encodes
-    the required decay of W, removes the boundary-layer null directions
-    of the truncated operator from the unknown space, and makes the
-    collocation system (all rows kept) solvable by least squares.
+    The correction unknowns are V = W_w * W on the active window nodes
+    (see WeightedWindow), which makes the collocation system (all rows
+    kept) solvable by least squares.
     """
 
     def __init__(self, model, grid, b, eps, free_b_index=None):
+        super().__init__(grid, model.n, model.eta)
         self.model = model
-        self.grid = grid
         self.eps = float(eps)
         self.b = np.asarray(b, dtype=float)
         self.free_b = free_b_index
-        self.x = grid.nodes
-        self.m = len(self.x)
-        self.h = grid.h
-        n = model.n
-        self.n = n
+        n = self.n
 
         speeds, E = characteristic_speeds(model)
         self.E = E
@@ -276,15 +257,6 @@ class _ShockSystem:
         self.chi_m = 0.5 * (1.0 - np.tanh(self.x))
         self.dchi = 0.5 / np.cosh(self.x) ** 2
 
-        wexp = weight_exponent(self.x, -model.eta, model.eta)
-        self.Wvec = np.exp(wexp - wexp.min())   # 1 at the center, grows out
-        self.dwexp = (0.5 * (model.eta - (-model.eta))
-                      * self.x / np.sqrt(self.x * self.x + 1.0))
-        pad = max(0.15 * grid.L, 5 * grid.h)
-        self.active = np.abs(self.x) <= grid.L - pad
-        self.active_flat = np.repeat(self.active, n)
-
-        self.D4 = _fd4_matrix(self.m, self.h)
         self.Hx = self.eps * model.source_at(self.x)
 
         # Convolution with K' (smooth part of the flux-kernel derivative)
@@ -302,8 +274,7 @@ class _ShockSystem:
         next_ = int(round(ext / self.h))
         self.x_ext = -grid.L - ext + self.h * np.arange(self.m + 2 * next_)
         m_ext = len(self.x_ext)
-        w_ext = np.full(m_ext, self.h)
-        w_ext[0] = w_ext[-1] = 0.5 * self.h
+        w_ext = trapezoid_weights(m_ext, self.h)
         diffs = self.x[:, None] - self.x_ext[None, :]
         vals_ext = np.real(self.dK.value(diffs.ravel())).reshape(
             self.m, m_ext, n, n)
@@ -312,25 +283,9 @@ class _ShockSystem:
         self.chi_m_ext = 0.5 * (1.0 - np.tanh(self.x_ext))
         self.dchi_ext = 0.5 / np.cosh(self.x_ext) ** 2
 
-        # window convolution matrix for the compact remainder
-        idx = np.arange(self.m)
-        diffs_w = self.h * np.arange(-(self.m - 1), self.m)
-        vals = np.real(self.dK.value(diffs_w))
-        off = idx[:, None] - idx[None, :] + (self.m - 1)
-        w_quad = np.full(self.m, self.h)
-        w_quad[0] = w_quad[-1] = 0.5 * self.h
-        D2 = np.zeros((self.m, self.m))
-        r = np.arange(1, self.m - 1)
-        D2[r, r - 1] = -0.5 / self.h
-        D2[r, r + 1] = 0.5 / self.h
-        self.Cmat = np.zeros((self.m * n, self.m * n))
-        eye = np.eye(self.m)
-        for a_ in range(n):
-            for b_ in range(n):
-                blk = vals[off, a_, b_] * w_quad[None, :]
-                blk = blk + self.cc * self.j1[a_, b_] * eye
-                blk = blk - self.cc * self.j0[a_, b_] * D2
-                self.Cmat[a_::n, b_::n] = blk
+        # window convolution matrix for the compact remainder; its corner
+        # columns only meet the pad, where F(U) - F(Ubar) vanishes
+        self.Cmat = conv_matrix(self.dK, self.m, n, self.h, float)
 
         # exact constant tails beyond the extended grid
         xr = self.x - self.x_ext[-1]
@@ -345,7 +300,7 @@ class _ShockSystem:
         return self.n + (1 if self.free_b is not None else 0)
 
     def unpack(self, z):
-        n, m = self.n, self.m
+        n = self.n
         a = z[:n]
         k = n
         if self.free_b is not None:
@@ -353,9 +308,7 @@ class _ShockSystem:
             k += 1
         else:
             bfree = None
-        V = np.zeros(m * n)
-        V[self.active_flat] = z[k:]
-        V = V.reshape(m, n)
+        V = self.window_field(z[k:])
         b = self.b.copy()
         if bfree is not None:
             b[self.free_b] = bfree
@@ -366,8 +319,7 @@ class _ShockSystem:
 
     def profile_derivative(self, a, b, V):
         dbase = self.dchi[:, None] * (self.E @ (a - b))[None, :]
-        Vp = self.D4 @ V
-        return dbase + (Vp - self.dwexp[:, None] * V) / self.Wvec[:, None]
+        return dbase + self.unweighted_derivative(V)
 
     def ansatz_base(self, a, b):
         return (self.chi_p[:, None] * (self.E @ a)[None, :]
@@ -415,7 +367,7 @@ class _ShockSystem:
             R = np.append(R, a[self.free_b] + b[self.free_b])
         return R
 
-    def jacobian(self, z):
+    def jacobian(self, z, res):
         n, m = self.n, self.m
         a, b, V = self.unpack(z)
         U = self.profile(a, b, V)
@@ -446,15 +398,8 @@ class _ShockSystem:
         if self.free_b is not None:
             JV = np.vstack([JV, np.zeros((1, JV.shape[1]))])
         # finite-difference columns for a (and the free b component)
-        base = self.residual(z)
-        npar = self.n_params
-        Jp = np.zeros((len(base), npar))
-        for k in range(npar):
-            dz = z.copy()
-            step = 1e-7 * (1.0 + abs(z[k]))
-            dz[k] += step
-            Jp[:, k] = (self.residual(dz) - base) / step
-        return np.hstack([Jp, JV[:, self.active_flat]]), base
+        Jp = fd_columns(self.residual, z, res, self.n_params)
+        return np.hstack([Jp, JV[:, self.active_flat]])
 
 
 def _blockwise_apply(B, S, n):
@@ -476,10 +421,11 @@ def shock_profile(model, b, eps, grid=None, validate_index=False,
     every characteristic speed nonzero and |eps| <= the model's eps_max.
     """
     if abs(eps) > model.eps_max:
-        raise ValueError(f"|eps| exceeds eps_max = {model.eps_max:g}")
+        raise ConfigurationError(f"|eps| exceeds eps_max = {model.eps_max:g}")
     speeds, _ = characteristic_speeds(model)
     if np.min(np.abs(speeds)) < 1e-10:
-        raise ValueError("zero characteristic speed: use zero_speed_selection")
+        raise ConfigurationError(
+            "zero characteristic speed: use zero_speed_selection")
     if validate_index:
         idx = linearization_index(model, model.eta)
         if idx != -model.n:
@@ -489,44 +435,19 @@ def shock_profile(model, b, eps, grid=None, validate_index=False,
     sys = _ShockSystem(model, grid, b, eps)
     z = np.concatenate([np.asarray(b, dtype=float),
                         np.zeros(int(sys.active_flat.sum()))])
-    return _newton_solve(sys, z, tol, max_iter, model, b)
+    return _solve_layer(sys, z, tol, max_iter)
 
 
-def _newton_solve(sys, z, tol, max_iter, model, b):
+def _solve_layer(sys, z, tol, max_iter):
     scale = 1.0 + np.abs(sys.Hx).max()
-    res = sys.residual(z)
-    for it in range(max_iter):
-        rnorm = np.abs(res).max()
-        if rnorm <= tol * scale:
-            break
-        J, _ = sys.jacobian(z)
-        # column equilibration: the weighted correction variables carry
-        # exponentially disparate scales, which a plain least-squares
-        # solve cannot handle
-        colnorm = np.linalg.norm(J, axis=0)
-        colnorm[colnorm == 0] = 1.0
-        step, *_ = np.linalg.lstsq(J / colnorm[None, :], -res, rcond=None)
-        step = step / colnorm
-        lam = 1.0
-        for _ in range(7):
-            z_new = z + lam * step
-            res_new = sys.residual(z_new)
-            if np.abs(res_new).max() < rnorm:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonDiverged("stationary solver stalled while damping")
-        z, res = z_new, res_new
-    else:
-        raise NewtonDiverged(
-            f"no convergence after {max_iter} iterations "
-            f"(residual {np.abs(res).max():.2e})")
+    z, res, iterations = newton_solve(sys.residual, sys.jacobian, z,
+                                      tol * scale, max_iter)
     a, bfull, V = sys.unpack(z)
     W = V / sys.Wvec[:, None]
     U = sys.profile(a, bfull, V)
     return ShockSolution(
         a=a, b=bfull, x=sys.x, U=U, W=W,
-        residual=float(np.abs(res).max()), iterations=it + 1, basis=sys.E,
+        residual=float(np.abs(res).max()), iterations=iterations, basis=sys.E,
         diagnostics={"grid": (sys.grid.L, sys.grid.h), "eps": sys.eps,
                      "scale": scale})
 
@@ -541,7 +462,7 @@ def zero_speed_constant(model):
     speeds, E = characteristic_speeds(model)
     zero = np.where(np.abs(speeds) < 1e-8)[0]
     if len(zero) != 1:
-        raise ValueError("need exactly one vanishing speed")
+        raise ConfigurationError("need exactly one vanishing speed")
     j0 = int(zero[0])
     e0 = E[:, j0]
     K1 = np.real(model.kernel.transform(0.0, 1))
@@ -571,7 +492,7 @@ def zero_speed_selection(model, eps, b_rest=None, grid=None,
     mass, _ = quad_vec(lambda x: float(model.source_at(np.array([x]))[0] @ e0),
                        -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13)
     if abs(mass) > 1e-8 * (1.0 + abs(Mconst)):
-        raise ValueError(
+        raise ConfigurationError(
             "source has nonzero mass on the zero-speed characteristic; "
             "no stationary layer exists")
 
@@ -579,7 +500,7 @@ def zero_speed_selection(model, eps, b_rest=None, grid=None,
     grid = grid or Grid(L=30.0, h=0.05)
     sys = _ShockSystem(model, grid, b, eps, free_b_index=j0)
     z = np.concatenate([b, [0.0], np.zeros(int(sys.active_flat.sum()))])
-    sol = _newton_solve(sys, z, tol, max_iter, model, b)
+    sol = _solve_layer(sys, z, tol, max_iter)
     a_j0 = float(sol.a[j0])
     b_j0 = float(sol.b[j0])
     sol.diagnostics["M"] = Mconst

@@ -27,9 +27,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .charmatrix import axis_cutoff, char_eval, delta_eval
-from .errors import (CompatibilityViolated, GenericityViolated,
-                     NewtonDiverged, RankMismatch)
-from .griddisc import Grid, weight_exponent
+from .errors import CompatibilityViolated, GenericityViolated, RankMismatch
+from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
+                       newton_solve)
 from .symbols import ShiftTerm, Symbol
 
 __all__ = [
@@ -67,13 +67,18 @@ class EdgeModel:
         if self.P is not None:
             self.P = np.atleast_2d(np.asarray(self.P, dtype=float))
 
-    def symbol_at(self, lam):
-        """Constant-coefficient symbol of the unperturbed operator."""
+    def zero_shift(self, lam):
+        """lam B minus the Dirac matrix: the zero-shift term of symbol_at."""
         A1 = lam * self.B
         if self.dirac is not None:
             A1 = A1 - self.dirac
+        return A1
+
+    def symbol_at(self, lam):
+        """Constant-coefficient symbol of the unperturbed operator."""
         kernel = None if self.kernel is None else self.kernel.scaled(-1.0)
-        return Symbol(self.n, kernel, (ShiftTerm(0.0, A1),), self.eta)
+        return Symbol(self.n, kernel, (ShiftTerm(0.0, self.zero_shift(lam)),),
+                      self.eta)
 
     def khat_p(self, nu, order=0):
         """Transform of the full unperturbed kernel, paper convention."""
@@ -287,15 +292,14 @@ def smooth_ramp(xi):
     return rho, drho
 
 
-def dispersion_root(model, gamma, branch):
+def dispersion_root(model, gamma, branch, slope):
     """Root nu of d(nu, gamma^2) = 0 continued from branch * slope * gamma.
 
-    Newton steps are clamped inside the strip; an overshooting step is
-    halved rather than evaluated past the analyticity boundary.
+    `slope` is EdgeData.slope, sqrt(-2 d_lambda / d_nunu).  Newton steps
+    are clamped inside the strip; an overshooting step is halved rather
+    than evaluated past the analyticity boundary.
     """
     sym = model.symbol_at(gamma * gamma)
-    rep = diffusive_check(model)
-    slope = np.sqrt(-2.0 * np.real(rep.d_lambda) / np.real(rep.d_nunu))
     nu = complex(branch * slope * gamma)
     cap = 0.95 * model.eta
     for _ in range(60):
@@ -334,66 +338,47 @@ class EdgeEigenvalue:
     diagnostics: dict = field(default_factory=dict)
 
 
-class _EdgeSystem:
+class _EdgeSystem(WeightedWindow):
     """Residual/Jacobian of the far-field ansatz eigenvalue equation."""
 
     def __init__(self, model, grid, eps, data):
+        super().__init__(grid, model.n, model.weight_eta)
         self.model = model
-        self.grid = grid
         self.eps = float(eps)
         self.data = data
-        self.x = grid.nodes
-        self.m = len(self.x)
-        self.h = grid.h
-        self.n = model.n
 
         rho, drho = smooth_ramp(self.x)
         self.chi_p = 0.5 * (1.0 + rho)
         self.chi_m = 0.5 * (1.0 - rho)
         self.dchi = 0.5 * drho
 
-        we = model.weight_eta
-        wexp = weight_exponent(self.x, -we, we)
-        self.Wvec = np.exp(wexp - wexp.min())
-        self.dwexp = we * self.x / np.sqrt(self.x * self.x + 1.0)
-        pad = max(0.15 * grid.L, 5 * grid.h)
-        self.active = np.abs(self.x) <= grid.L - pad
-        self.active_flat = np.repeat(self.active, self.n)
         # rows entering the convergence norm: the extreme boundary rows
         # carry O(h^2) one-sided quadrature defects against the far field
         self.conv_rows = np.repeat(np.abs(self.x) <= grid.L - 1.0, self.n)
 
-        self.D4 = _fd4(self.m, self.h)
         self.Vx = np.asarray(model.V(self.x), dtype=float).reshape(self.m)
 
         # window convolution matrix of the base kernel acting on w
-        self.kernel_o = None
+        self.kernel_o = self.Cw = self.pert_Cw = None
         if model.kernel is not None:
             self.kernel_o = model.kernel.scaled(-1.0)
-            self.Cw = _window_conv_matrix(self.kernel_o, self.m, self.n, self.h)
-        else:
-            self.Cw = None
-        self.pert_Cw = None
+            self.Cw = conv_matrix(self.kernel_o, self.m, self.n, self.h)
         if model.pert_kernel is not None:
-            self.pert_Cw = _window_conv_matrix(model.pert_kernel, self.m,
-                                               self.n, self.h)
+            self.pert_Cw = conv_matrix(model.pert_kernel, self.m, self.n, self.h)
 
     # -- far-field data ---------------------------------------------------
 
     def far_fields(self, gamma):
         lam = gamma * gamma
         sym = self.model.symbol_at(lam)
-        nu_p = dispersion_root(self.model, gamma, +1)
-        nu_m = dispersion_root(self.model, gamma, -1)
+        nu_p = dispersion_root(self.model, gamma, +1, self.data.slope)
+        nu_m = dispersion_root(self.model, gamma, -1, self.data.slope)
         e_p = _null_vector(delta_eval(sym, np.array(nu_p))[()], self.data.e0)
         e_m = _null_vector(delta_eval(sym, np.array(nu_m))[()], self.data.e0)
         return lam, nu_p, nu_m, np.real(e_p), np.real(e_m)
 
     def unpack(self, z):
-        a_minus, gamma = z[0], z[1]
-        w = np.zeros(self.m * self.n)
-        w[self.active_flat] = z[2:]
-        return a_minus, gamma, w.reshape(self.m, self.n)
+        return z[0], z[1], self.window_field(z[2:])
 
     def ansatz(self, a_minus, gamma):
         lam, nu_p, nu_m, e_p, e_m = self.far_fields(gamma)
@@ -406,17 +391,14 @@ class _EdgeSystem:
                              + self.chi_m * np.real(nu_m) * um)[:, None] * e_m[None, :]
         return lam, nu_p, nu_m, e_p, e_m, U, dU
 
-    def conv_base(self, field_grid, a_minus, gamma, nu_p, nu_m, e_p, e_m):
-        """K_o * U with the far tails handled by partial transforms."""
-        if self.kernel_o is None:
-            return np.zeros((self.m, self.n))
-        flat = self.Cw @ field_grid.reshape(-1)
-        out = flat.real.reshape(self.m, self.n)
+    def window_conv(self, C, kernel, Ufull, a_minus, nu_p, nu_m, e_p, e_m):
+        """kernel * U: window matrix C plus far tails by partial transforms."""
+        out = (C @ Ufull.reshape(-1)).real.reshape(self.m, self.n)
         L = self.grid.L
-        tr = self.kernel_o.head_transform(self.x - L, np.real(nu_p))
+        tr = kernel.head_transform(self.x - L, np.real(nu_p))
         out = out + np.real(
             np.einsum("mij,j->mi", tr, e_p) * np.exp(np.real(nu_p) * self.x)[:, None])
-        tl = self.kernel_o.tail_transform(self.x + L, np.real(nu_m))
+        tl = kernel.tail_transform(self.x + L, np.real(nu_m))
         out = out + a_minus * np.real(
             np.einsum("mij,j->mi", tl, e_m) * np.exp(np.real(nu_m) * self.x)[:, None])
         return out
@@ -424,35 +406,22 @@ class _EdgeSystem:
     def residual(self, z):
         a_minus, gamma, w = self.unpack(z)
         lam, nu_p, nu_m, e_p, e_m, U, dU = self.ansatz(a_minus, gamma)
-        wW = w / self.Wvec[:, None]
-        Ufull = U + wW
-        dw = (self.D4 @ w - self.dwexp[:, None] * w) / self.Wvec[:, None]
-        Uprime = dU + dw
+        Ufull = U + w / self.Wvec[:, None]
+        Uprime = dU + self.unweighted_derivative(w)
 
-        A1 = lam * self.model.B
-        if self.model.dirac is not None:
-            A1 = A1 - self.model.dirac
-        R = Uprime - Ufull @ A1.T
-        R = R - self.conv_base(Ufull, a_minus, gamma, nu_p, nu_m, e_p, e_m)
-        pert = self._pert_apply(Ufull, a_minus, nu_p, nu_m, e_p, e_m)
+        R = Uprime - Ufull @ self.model.zero_shift(lam).T
+        tails = (a_minus, nu_p, nu_m, e_p, e_m)
+        if self.Cw is not None:
+            R = R - self.window_conv(self.Cw, self.kernel_o, Ufull, *tails)
+        if self.model.P is not None:
+            pert = Ufull @ self.model.P.T
+        else:
+            pert = self.window_conv(self.pert_Cw, self.model.pert_kernel,
+                                    Ufull, *tails)
         R = R + self.eps * self.Vx[:, None] * pert
         return R.reshape(-1)
 
-    def _pert_apply(self, Ufull, a_minus, nu_p, nu_m, e_p, e_m):
-        if self.model.P is not None:
-            return Ufull @ self.model.P.T
-        flat = self.pert_Cw @ Ufull.reshape(-1)
-        out = flat.real.reshape(self.m, self.n)
-        L = self.grid.L
-        tr = self.model.pert_kernel.head_transform(self.x - L, np.real(nu_p))
-        out = out + np.real(np.einsum("mij,j->mi", tr, e_p)
-                            * np.exp(np.real(nu_p) * self.x)[:, None])
-        tl = self.model.pert_kernel.tail_transform(self.x + L, np.real(nu_m))
-        out = out + a_minus * np.real(np.einsum("mij,j->mi", tl, e_m)
-                                      * np.exp(np.real(nu_m) * self.x)[:, None])
-        return out
-
-    def jacobian(self, z):
+    def jacobian(self, z, res):
         a_minus, gamma, w = self.unpack(z)
         lam, nu_p, nu_m, e_p, e_m, U, dU = self.ansatz(a_minus, gamma)
         m, n = self.m, self.n
@@ -463,10 +432,7 @@ class _EdgeSystem:
         # node (column scaling)
         Dx = np.kron(self.D4, np.eye(n)) - np.diag(np.repeat(self.dwexp, n))
         JW = Dx * invW[:, None]
-        A1 = lam * self.model.B
-        if self.model.dirac is not None:
-            A1 = A1 - self.model.dirac
-        JW = JW - np.kron(np.eye(m), A1) * invW[None, :]
+        JW = JW - np.kron(np.eye(m), self.model.zero_shift(lam)) * invW[None, :]
         if self.Cw is not None:
             JW = JW - self.Cw.real * invW[None, :]
         if self.model.P is not None:
@@ -475,61 +441,8 @@ class _EdgeSystem:
             JW = JW + self.eps * (np.repeat(self.Vx, n)[:, None]
                                   * self.pert_Cw.real) * invW[None, :]
 
-        base = self.residual(z)
-        Jp = np.zeros((len(base), 2))
-        for k in range(2):
-            dz = z.copy()
-            step = 1e-7 * (1.0 + abs(z[k]))
-            dz[k] += step
-            Jp[:, k] = (self.residual(dz) - base) / step
-        return np.hstack([Jp, JW[:, self.active_flat]]), base
-
-
-def _fd4(m, h):
-    D = np.zeros((m, m))
-    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    for i in range(2, m - 2):
-        D[i, i - 2:i + 3] = c
-    e = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-    for i in (0, 1):
-        D[i, i:i + 5] = e
-    for i in (m - 1, m - 2):
-        D[i, i - 4:i + 1] = -e[::-1]
-    return D
-
-
-def _window_conv_matrix(kernel, m, n, h):
-    """Trapezoid convolution matrix on the window with kink corrections.
-
-    Corner rows take the one-sided kernel branch at the coincident kink
-    and skip the interior jump correction.
-    """
-    diffs = h * np.arange(-(m - 1), m)
-    vals = kernel.value(diffs)
-    idx = np.arange(m)
-    off = idx[:, None] - idx[None, :] + (m - 1)
-    w_quad = np.full(m, h)
-    w_quad[0] = w_quad[-1] = 0.5 * h
-    j0, j1 = kernel.kink_jumps()
-    vm = kernel.value_one_sided(-1)
-    vp = kernel.value_one_sided(+1)
-    cc = h * h / 12.0
-    D2 = np.zeros((m, m))
-    r = np.arange(1, m - 1)
-    D2[r, r - 1] = -0.5 / h
-    D2[r, r + 1] = 0.5 / h
-    C = np.zeros((m * n, m * n), dtype=complex)
-    eye = np.eye(m)
-    eye[0, 0] = eye[-1, -1] = 0.0
-    for a_ in range(n):
-        for b_ in range(n):
-            blk = vals[off, a_, b_] * w_quad[None, :]
-            blk[0, 0] = vm[a_, b_] * w_quad[0]
-            blk[-1, -1] = vp[a_, b_] * w_quad[-1]
-            blk = blk + cc * j1[a_, b_] * eye
-            blk = blk - cc * j0[a_, b_] * D2
-            C[a_::n, b_::n] = blk
-    return C
+        Jp = fd_columns(self.residual, z, res, 2)
+        return np.hstack([Jp, JW[:, self.active_flat]])
 
 
 def edge_eigenvalue(model, eps, grid=None, tol=1e-11, max_iter=40,
@@ -547,42 +460,13 @@ def edge_eigenvalue(model, eps, grid=None, tol=1e-11, max_iter=40,
     grid = grid or Grid(L=40.0, h=0.1)
     sys = _EdgeSystem(model, grid, eps, data)
     z = np.concatenate([[1.0, -M * eps], np.zeros(int(sys.active_flat.sum()))])
-    res = sys.residual(z)
     scale = 1.0 + abs(eps) * np.abs(sys.Vx).max()
-
-    def rnorm_of(r):
-        return np.abs(r[sys.conv_rows]).max()
-
     # quadrature defects against the analytic far field floor the
     # attainable residual for convolution kernels; a stalled iteration
     # already below this level counts as converged at the floor
-    plateau = 1e-6 * scale
-    for it in range(max_iter):
-        rnorm = rnorm_of(res)
-        if rnorm <= tol * scale:
-            break
-        J, _ = sys.jacobian(z)
-        colnorm = np.linalg.norm(J, axis=0)
-        colnorm[colnorm == 0] = 1.0
-        step, *_ = np.linalg.lstsq(J / colnorm[None, :], -res, rcond=None)
-        step = step / colnorm
-        lam_dampen = 1.0
-        for _ in range(8):
-            z_new = z + lam_dampen * step
-            res_new = sys.residual(z_new)
-            if rnorm_of(res_new) < rnorm:
-                break
-            lam_dampen *= 0.5
-        else:
-            if rnorm <= plateau:
-                break
-            raise NewtonDiverged("edge eigenvalue iteration stalled")
-        z, res = z_new, res_new
-        if rnorm_of(res) > 0.5 * rnorm and rnorm_of(res) <= plateau:
-            break
-    else:
-        raise NewtonDiverged(
-            f"edge eigenvalue: no convergence ({rnorm_of(res):.2e})")
+    z, res, iterations = newton_solve(sys.residual, sys.jacobian, z,
+                                      tol * scale, max_iter,
+                                      rows=sys.conv_rows, plateau=1e-6 * scale)
 
     a_minus, gamma, w = sys.unpack(z)
     lam, nu_p, nu_m, e_p, e_m, U, dU = sys.ansatz(a_minus, gamma)
@@ -590,7 +474,8 @@ def edge_eigenvalue(model, eps, grid=None, tol=1e-11, max_iter=40,
     return EdgeEigenvalue(
         lam=float(gamma * gamma), gamma=float(gamma), a_minus=float(a_minus),
         x=sys.x, U=Ufull, w=w, resonance=resonance,
-        residual=float(rnorm_of(res)), iterations=it + 1,
+        residual=float(np.abs(res[sys.conv_rows]).max()),
+        iterations=iterations,
         diagnostics={
             "nu_plus": complex(nu_p), "nu_minus": complex(nu_m),
             "M": float(M), "predicted_nu_plus": float(-data.slope * M * eps),

@@ -10,8 +10,11 @@ class SpecflowError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigurationError(SpecflowError):
-    """Invalid model/configuration data (CLI exit code 2)."""
+class ConfigurationError(SpecflowError, ValueError):
+    """Invalid model/configuration data (CLI exit code 2).
+
+    Also a ValueError, the builtin type for a rejected argument value.
+    """
 
 
 class NumericalError(SpecflowError):

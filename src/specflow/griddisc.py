@@ -7,6 +7,10 @@ the convolution, and linear interpolation for off-grid shift targets.
 Exponential weights enter as an exact diagonal conjugation with the
 smooth profile exp(w(xi)), w'(xi) -> gamma_[-,+] as xi -> -+infinity.
 
+The same discretization kit serves the two Newton applications: the
+trapezoid-plus-kink convolution matrix, the difference matrices, the
+weighted window of a decaying correction, and one damped Newton solver.
+
 Kernel and cokernel dimensions are then estimated from the singular
 value spectrum: truncation perturbs exact zero singular values to
 exponentially small ones, so a ratio gap separates them from the rest
@@ -20,13 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charmatrix import adjoint_symbol
-from .errors import GridTooCoarse, TailUnresolved
+from .errors import GridTooCoarse, NewtonDiverged, TailUnresolved
 from .symbols import OperatorFamily, Symbol
 
 __all__ = [
     "Grid", "GridOperator", "NullityResult", "assemble", "nullity",
     "index_estimate", "solve_inhomogeneous", "weight_exponent",
     "save_singulars_csv", "save_grid_function_csv", "load_grid_function_csv",
+    "trapezoid_weights", "centred_d1", "fd4_matrix", "conv_matrix",
+    "WeightedWindow", "newton_solve", "fd_columns",
 ]
 
 
@@ -90,14 +96,79 @@ def _as_symbol_map(operator):
     raise TypeError("operator must be a Symbol, OperatorFamily or callable")
 
 
-def _derivative_matrix(nodes, h):
-    m = len(nodes)
+def trapezoid_weights(m, h):
+    """Trapezoid-rule weights on m equispaced nodes of spacing h."""
+    w = np.full(m, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def centred_d1(m, h):
+    """Second-order centred first derivative; the two boundary rows are 0."""
     D = np.zeros((m, m))
-    idx = np.arange(1, m - 1)
-    D[idx, idx - 1] = -0.5 / h
-    D[idx, idx + 1] = 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
+    r = np.arange(1, m - 1)
+    D[r, r - 1] = -0.5 / h
+    D[r, r + 1] = 0.5 / h
+    return D
+
+
+def fd4_matrix(m, h):
+    """Fourth-order first-derivative matrix with one-sided closures."""
+    D = np.zeros((m, m))
+    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    for i in range(2, m - 2):
+        D[i, i - 2:i + 3] = c
+    e = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
+    for i in (0, 1):
+        D[i, i:i + 5] = e
+    for i in (m - 1, m - 2):
+        D[i, i - 4:i + 1] = -e[::-1]
+    return D
+
+
+def conv_matrix(kernel, m, n, h, dtype=complex):
+    """Trapezoid convolution matrix on m nodes of spacing h.
+
+    With dtype float only the real parts of the kernel data enter.
+    Entry block (i, j) approximates the weight of U(xi_j) in
+    (K * U)(xi_i); unknowns are node-major with n components.  The
+    kernel kink at zeta = 0 is Euler-Maclaurin corrected: the true
+    integral is the trapezoid sum plus (h^2/12) times the jump of the
+    integrand derivative, which couples to U(xi_i) and U'(xi_i).  At the
+    corner rows the kink sits on the window edge: the entry takes the
+    one-sided kernel branch and no jump correction.
+    """
+    vals = kernel.value(h * np.arange(-(m - 1), m))
+    j0, j1 = kernel.kink_jumps()
+    vm = kernel.value_one_sided(-1)
+    vp = kernel.value_one_sided(+1)
+    if dtype is float:
+        vals, j0, j1, vm, vp = vals.real, j0.real, j1.real, vm.real, vp.real
+    idx = np.arange(m)
+    off = idx[:, None] - idx[None, :] + (m - 1)
+    w_quad = trapezoid_weights(m, h)
+    cc = h * h / 12.0
+    D = centred_d1(m, h)
+    eye = np.eye(m)
+    eye[0, 0] = eye[-1, -1] = 0.0
+    C = np.empty((m * n, m * n), dtype=dtype)
+    for a in range(n):
+        for b in range(n):
+            blk = C[a::n, b::n]     # filled in place to bound peak memory
+            blk[...] = vals[off, a, b]
+            blk *= w_quad[None, :]
+            blk[0, 0] = vm[a, b] * w_quad[0]
+            blk[-1, -1] = vp[a, b] * w_quad[-1]
+            blk += cc * j1[a, b] * eye
+            blk -= cc * j0[a, b] * D
+    return C
+
+
+def _derivative_matrix(m, h):
+    """centred_d1 with one-sided second-order rows at both ends."""
+    D = centred_d1(m, h)
+    D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return D
 
 
@@ -146,71 +217,39 @@ def assemble(operator, grid, weights=None):
     nodes = grid.nodes
     m = len(nodes)
     h = grid.h
-    w_quad = np.full(m, h)
-    w_quad[0] = w_quad[-1] = 0.5 * h
 
     real_ok = s0.is_real()
     dtype = float if real_ok else complex
     M = np.zeros((m * n, m * n), dtype=dtype)
 
     # derivative part
-    D = _derivative_matrix(nodes, h)
+    D = _derivative_matrix(m, h)
     for a in range(n):
         M[a::n, a::n] += D
 
     if const is not None:
-        _fill_constant(M, const, nodes, w_quad, h, dtype)
+        _fill_constant(M, const, nodes, h, dtype)
     else:
-        _fill_varying(M, at, nodes, w_quad, h, dtype)
+        _fill_varying(M, at, nodes, h, dtype)
+    return _conjugated(M, grid, n, gm, gp, {"constant": const is not None})
 
-    wexp = weight_exponent(nodes, gm, gp)
+
+def _conjugated(M, grid, n, gm, gp, provenance):
+    """GridOperator of D_W M D_W^{-1}, conjugating M in place."""
+    wexp = weight_exponent(grid.nodes, gm, gp)
     wexp = wexp - wexp.max()  # normalize so the conjugation stays bounded
     W = np.exp(np.repeat(wexp, n))
     M *= W[:, None]
     M *= (1.0 / W)[None, :]
     return GridOperator(matrix=M, grid=grid, n=n, weights=(gm, gp),
-                        weight_vector=np.exp(np.repeat(wexp, n)),
-                        provenance={"constant": const is not None})
+                        weight_vector=W, provenance=provenance)
 
 
-def _fill_constant(M, symbol, nodes, w_quad, h, dtype):
+def _fill_constant(M, symbol, nodes, h, dtype):
     m = len(nodes)
     n = symbol.n
     if symbol.kernel is not None:
-        diffs = h * np.arange(-(m - 1), m)
-        vals = symbol.kernel.value(diffs)
-        if dtype is float:
-            vals = vals.real
-        idx = np.arange(m)
-        off = idx[:, None] - idx[None, :] + (m - 1)
-        # trapezoid correction for a kernel kink at zeta = 0: the true
-        # integral is the trapezoid sum plus (h^2/12) * jump of the
-        # integrand derivative, which couples to U(xi_i) and U'(xi_i).
-        # At the corner rows the kink sits on the window edge: the entry
-        # takes the one-sided kernel branch and no jump correction.
-        j0, j1 = symbol.kernel.kink_jumps()
-        vm = symbol.kernel.value_one_sided(-1)
-        vp = symbol.kernel.value_one_sided(+1)
-        if dtype is float:
-            j0, j1 = j0.real, j1.real
-            vm, vp = vm.real, vp.real
-        c = h * h / 12.0
-        D = _derivative_matrix(nodes, h)
-        eye = np.eye(m)
-        eye[0, 0] = eye[-1, -1] = 0.0
-        D = D.copy()
-        D[0, :] = 0.0
-        D[-1, :] = 0.0
-        for a in range(n):
-            for b in range(n):
-                blk = vals[off, a, b] * w_quad[None, :]
-                blk[0, 0] = vm[a, b] * w_quad[0]
-                blk[-1, -1] = vp[a, b] * w_quad[-1]
-                M[a::n, b::n] -= blk
-                if j1[a, b] != 0:
-                    M[a::n, b::n] -= c * j1[a, b] * eye
-                if j0[a, b] != 0:
-                    M[a::n, b::n] += c * j0[a, b] * D
+        M -= conv_matrix(symbol.kernel, m, n, h, dtype)
     for s in symbol.shifts:
         A = s.A.real if dtype is float else s.A
         if s.xi == 0.0:
@@ -224,9 +263,10 @@ def _fill_constant(M, symbol, nodes, w_quad, h, dtype):
                 M[i * n:(i + 1) * n, col * n:(col + 1) * n] -= wgt * A
 
 
-def _fill_varying(M, at, nodes, w_quad, h, dtype):
+def _fill_varying(M, at, nodes, h, dtype):
     m = len(nodes)
-    D = _derivative_matrix(nodes, h)
+    w_quad = trapezoid_weights(m, h)
+    D = centred_d1(m, h)
     c = h * h / 12.0
     for i in range(m):
         sym = at(nodes[i])
@@ -281,10 +321,9 @@ def assemble_adjoint(operator, grid, weights=None):
     nodes = grid.nodes
     m = len(nodes)
     h = grid.h
-    w_quad = np.full(m, h)
-    w_quad[0] = w_quad[-1] = 0.5 * h
+    w_quad = trapezoid_weights(m, h)
     M = np.zeros((m * n, m * n), dtype=complex)
-    D = _derivative_matrix(nodes, h)
+    D = _derivative_matrix(m, h)
     for a in range(n):
         M[a::n, a::n] += D
 
@@ -332,15 +371,7 @@ def assemble_adjoint(operator, grid, weights=None):
             A = at(target).shifts[j].A if (abs(target) <= grid.L) else at(nodes[i]).shifts[j].A
             for col, wgt in _interp_row(target, nodes, h):
                 M[i * n:(i + 1) * n, col * n:(col + 1) * n] += wgt * np.conj(A.T)
-
-    wexp = weight_exponent(nodes, gm, gp)
-    wexp = wexp - wexp.max()
-    W = np.exp(np.repeat(wexp, n))
-    M *= W[:, None]
-    M *= (1.0 / W)[None, :]
-    return GridOperator(matrix=M, grid=grid, n=n, weights=(gm, gp),
-                        weight_vector=np.exp(np.repeat(wexp, n)),
-                        provenance={"adjoint": True})
+    return _conjugated(M, grid, n, gm, gp, {"adjoint": True})
 
 
 @dataclass
@@ -381,7 +412,14 @@ def nullity(gridop, tol_ratio=1e3, edge_fraction=0.15, edge_mass_limit=0.5):
     convergence test.
     """
     M = gridop.matrix if isinstance(gridop, GridOperator) else gridop
-    U, s_desc, Vh = np.linalg.svd(M, full_matrices=False)
+    _, s_desc, Vh = np.linalg.svd(M, full_matrices=False)
+    return _classify_spectrum(gridop, s_desc, Vh, tol_ratio, edge_fraction,
+                              edge_mass_limit)
+
+
+def _classify_spectrum(gridop, s_desc, Vh, tol_ratio=1e3, edge_fraction=0.15,
+                       edge_mass_limit=0.5):
+    """The nullity classification of one SVD (descending values, Vh)."""
     s = s_desc[::-1]
     floor = 1e-9 * s[-1]
     median = s[len(s) // 2]
@@ -400,7 +438,7 @@ def nullity(gridop, tol_ratio=1e3, edge_fraction=0.15, edge_mass_limit=0.5):
         m = gridop.node_count
         n = gridop.n
     else:
-        m = M.shape[0]
+        m = gridop.shape[0]
         n = 1
     edge_nodes = max(2, int(np.ceil(edge_fraction * m)))
     mask = np.zeros(m, dtype=bool)
@@ -496,8 +534,8 @@ def solve_inhomogeneous(gridop, H):
     if Hf.shape[0] != M.shape[0]:
         raise ValueError("grid function size mismatch")
     rhs = W * Hf
-    nres = nullity(gridop)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    nres = _classify_spectrum(gridop, s, Vh)
     # exclude everything below the spectral cut, truncation artifacts
     # included: inverting them is meaningless and numerically explosive
     keep = s > nres.tol_abs if nres.dim_raw else s > 0
@@ -506,3 +544,104 @@ def solve_inhomogeneous(gridop, H):
     resid = float(np.linalg.norm(M @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300))
     out = (sol / W).reshape(gridop.node_count, gridop.n)
     return out, resid
+
+
+# -- weighted window and Newton solver of the two applications ---------------
+
+class WeightedWindow:
+    """Grid unknowns V = exp(w) W of a correction W that must decay.
+
+    The weight exponent w = weight_exponent(x, -eta, eta) is shifted so
+    that Wvec = exp(w) is 1 at the center and grows outwards.  V is
+    pinned to zero on an outer pad of width max(0.15 L, 5 h): this
+    encodes the decay of W and removes the boundary-layer null
+    directions of the truncated operator from the unknown space.  The
+    remaining `active` nodes carry the unknowns, node-major.
+    """
+
+    def __init__(self, grid, n, eta):
+        self.grid = grid
+        self.x = grid.nodes
+        self.m = len(self.x)
+        self.h = grid.h
+        self.n = n
+        wexp = weight_exponent(self.x, -eta, eta)
+        self.Wvec = np.exp(wexp - wexp.min())
+        self.dwexp = eta * self.x / np.sqrt(self.x * self.x + 1.0)
+        pad = max(0.15 * grid.L, 5 * grid.h)
+        self.active = np.abs(self.x) <= grid.L - pad
+        self.active_flat = np.repeat(self.active, n)
+        self.D4 = fd4_matrix(self.m, self.h)
+
+    def window_field(self, values):
+        """V on all nodes, shape (m, n), from the active unknowns."""
+        V = np.zeros(self.m * self.n)
+        V[self.active_flat] = values
+        return V.reshape(self.m, self.n)
+
+    def unweighted_derivative(self, V):
+        """x-derivative of W = V / Wvec."""
+        return (self.D4 @ V - self.dwexp[:, None] * V) / self.Wvec[:, None]
+
+
+def fd_columns(residual, z, base, count):
+    """Forward-difference Jacobian columns of the first `count` unknowns.
+
+    `base` is residual(z); each unknown moves by 1e-7 (1 + |z_k|).
+    """
+    J = np.zeros((len(base), count))
+    for k in range(count):
+        dz = z.copy()
+        step = 1e-7 * (1.0 + abs(z[k]))
+        dz[k] += step
+        J[:, k] = (residual(dz) - base) / step
+    return J
+
+
+def newton_solve(residual, jacobian, z, tol, max_iter, rows=None, plateau=0.0):
+    """Damped Newton iteration with column-equilibrated least-squares steps.
+
+    `residual(z)` is the residual vector and `jacobian(z, res)` its
+    Jacobian at z, given the residual res there.  The iteration stops
+    once the max norm over `rows` (all rows when None) is at most `tol`.
+    Each step is halved up to 8 times until the norm decreases.  A
+    positive `plateau` is an attainable-residual floor: an iteration
+    that stalls below it, or gains less than a factor 2 there, counts as
+    converged.  Returns (z, residual, iterations); raises NewtonDiverged.
+    """
+    def norm(r):
+        return np.abs(r if rows is None else r[rows]).max()
+
+    res = residual(z)
+    for it in range(max_iter):
+        rnorm = norm(res)
+        if rnorm <= tol:
+            break
+        J = jacobian(z, res)
+        # column equilibration: the weighted window unknowns carry
+        # exponentially disparate scales, which a plain least-squares
+        # solve cannot handle
+        colnorm = np.linalg.norm(J, axis=0)
+        colnorm[colnorm == 0] = 1.0
+        step, *_ = np.linalg.lstsq(J / colnorm[None, :], -res, rcond=None)
+        step = step / colnorm
+        damp = 1.0
+        for _ in range(8):
+            z_new = z + damp * step
+            res_new = residual(z_new)
+            if norm(res_new) < rnorm:
+                break
+            damp *= 0.5
+        else:
+            if rnorm <= plateau:
+                break
+            raise NewtonDiverged(
+                f"Newton iteration stalled while damping (residual {rnorm:.2e})")
+        z, res = z_new, res_new
+        if 0.5 * rnorm < norm(res) <= plateau:
+            break
+    else:
+        raise NewtonDiverged(
+            f"no convergence after {max_iter} iterations "
+            f"(residual {norm(res):.2e})")
+    return z, res, it + 1

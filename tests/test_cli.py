@@ -141,6 +141,15 @@ def test_invalid_schema_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_shock_eps_out_of_range_exit_code(tmp_path):
+    rc = run(["shock", "--config", str(CONFIGS / "shock_scalar.json"),
+              "--eps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration"
+    assert "eps_max" in err["error"]
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # family hits a crossing at the scan boundary: rejected as a
     # configuration-level error with an error report

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from specflow.charmatrix import adjoint_symbol
-from specflow.errors import GridTooCoarse, TailUnresolved
+from scipy.integrate import quad
+
+from specflow.errors import GridTooCoarse, NewtonDiverged, TailUnresolved
 from specflow.flow import weighted_index
-from specflow.griddisc import (Grid, assemble, assemble_adjoint,
-                               index_estimate, nullity, solve_inhomogeneous)
-from specflow.kernels import exponential_kernel
+from specflow.griddisc import (Grid, assemble, assemble_adjoint, conv_matrix,
+                               fd4_matrix, fd_columns, index_estimate,
+                               newton_solve, nullity, solve_inhomogeneous)
+from specflow.kernels import exponential_kernel, one_sided_exponential_kernel
 from specflow.symbols import OperatorFamily, ShiftTerm, Symbol, weight_shift
 
 
@@ -159,3 +162,67 @@ def test_solve_cokernel_obstruction(grid):
     H = np.exp(-grid.nodes ** 2)[:, None]
     U, resid = solve_inhomogeneous(op, H)
     assert resid > 1e-3
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_fd4_matrix_exact_on_quartics(degree):
+    h = 0.1
+    x = -1.3 + h * np.arange(31)
+    D = fd4_matrix(len(x), h)
+    exact = degree * x ** max(degree - 1, 0)
+    # closure rows included: every row is a fourth-order formula
+    assert np.abs(D @ x ** degree - exact).max() < 1e-11
+
+
+@pytest.mark.parametrize("kernel", [exponential_kernel(2.0, [[1.0]]),
+                                    one_sided_exponential_kernel(1.5, [[1.0]])])
+def test_conv_matrix_interior_rows_match_quadrature(kernel):
+    g = Grid(L=10.0, h=0.05)
+    x = g.nodes
+    C = conv_matrix(kernel, g.size, 1, g.h)
+    approx = (C @ np.exp(-x ** 2)).real
+
+    def exact(xi):
+        def f(y):
+            return kernel.value(np.array([xi - y]))[0, 0, 0].real * np.exp(-y * y)
+        return quad(f, -np.inf, xi)[0] + quad(f, xi, np.inf)[0]
+
+    for i in range(100, g.size - 100, 37):
+        assert approx[i] == pytest.approx(exact(x[i]), abs=1e-6)
+
+
+def _circle_line(z):
+    return np.array([z[0] ** 2 + z[1] ** 2 - 4.0, z[1] - z[0]])
+
+
+def test_newton_solve_converges_with_fd_columns():
+    z, res, iterations = newton_solve(
+        _circle_line, lambda z, res: fd_columns(_circle_line, z, res, 2),
+        np.array([1.0, 0.5]), 1e-12, 20)
+    assert np.allclose(z, [np.sqrt(2.0), np.sqrt(2.0)], atol=1e-10)
+    assert np.abs(res).max() <= 1e-12
+    assert 1 < iterations < 10
+
+
+def _no_root(z):
+    return np.array([z[0] ** 2 + 1.0])
+
+
+def _no_root_jacobian(z, res):
+    return np.array([[2.0 * z[0]]])
+
+
+def test_newton_solve_raises_when_damping_stalls():
+    # at the minimum of |z^2 + 1| no damped step can lower the residual
+    with pytest.raises(NewtonDiverged):
+        newton_solve(_no_root, _no_root_jacobian, np.array([0.0]), 1e-12, 20)
+
+
+def test_newton_solve_returns_at_plateau():
+    z, res, iterations = newton_solve(_no_root, _no_root_jacobian,
+                                      np.array([0.0]), 1e-12, 20, plateau=1.5)
+    assert (z, res[0], iterations) == (0.0, 1.0, 1)
+    # a step that gains less than a factor 2 below the plateau also stops
+    z, res, iterations = newton_solve(_no_root, _no_root_jacobian,
+                                      np.array([0.5]), 1e-12, 20, plateau=1.5)
+    assert iterations == 1 and 1.0 < res[0] < 1.25
