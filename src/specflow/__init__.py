@@ -23,9 +23,9 @@ from .flow import (Crossing, FlowResult, cocycle_check, crossing_number,
 from .griddisc import (Grid, GridOperator, assemble, assemble_adjoint,
                        index_estimate, nullity, solve_inhomogeneous)
 from .kernels import (ExpPolyKernel, GaussianKernel, KernelSpec,
-                      SampledKernel, SumKernel, TransformedKernel,
-                      exponential_kernel, gaussian_kernel,
-                      one_sided_exponential_kernel, sample_kernel)
+                      SampledKernel, SumKernel, exponential_kernel,
+                      gaussian_kernel, one_sided_exponential_kernel,
+                      sample_kernel)
 from .roots import (Rectangle, RootSet, RootTrajectory, count_roots,
                     locate_roots, track_root)
 from .symbols import (OperatorFamily, ShiftTerm, Symbol, check_hypotheses,

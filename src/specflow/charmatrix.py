@@ -132,7 +132,7 @@ def axis_cutoff(symbol):
 def axis_lipschitz(symbol):
     """Lipschitz constant of ell -> Delta(i ell) in spectral norm."""
     km = symbol.kernel.moment_bound() if symbol.kernel is not None else 0.0
-    return 1.0 + km + sum(abs(s.xi) * np.linalg.norm(s.A, 2) for s in symbol.shifts)
+    return 1.0 + km + sum(abs(s.xi) * a for s, a in zip(symbol.shifts, symbol.shift_norms))
 
 
 def _sigma_min_axis(symbol, ells):

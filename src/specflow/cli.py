@@ -282,7 +282,8 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--jobs", type=int, default=1)
+
+    def scan(sp):
         sp.add_argument("--scan", type=int, default=400,
                         help="parameter scan resolution")
 
@@ -293,12 +294,16 @@ def _build_parser():
 
     sp = sub.add_parser("flow", help="crossings and index of a family")
     common(sp)
+    scan(sp)
 
     sp = sub.add_parser("index", help="Fredholm index from limit symbols")
     common(sp)
+    scan(sp)
 
     sp = sub.add_parser("specmap", help="index map over spectral parameters")
     common(sp)
+    scan(sp)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--re", required=True, metavar="LO:HI:N")
     sp.add_argument("--im", required=True, metavar="LO:HI:N")
 

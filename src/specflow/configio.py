@@ -80,7 +80,7 @@ def kernel_from_json(spec, n, path="kernel"):
         return SampledKernel(float(spec["h"]), samples, float(spec["eta0"]),
                              tol_tail=float(spec.get("tol_tail", 1e-6)))
     if family == "sum":
-        return SumKernel([kernel_from_json(p, n, path + ".parts")
+        return SumKernel([(1.0, kernel_from_json(p, n, path + ".parts"))
                           for p in spec["parts"]])
     _fail(path, f"unknown kernel family {family!r}")
 

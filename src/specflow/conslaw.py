@@ -30,7 +30,6 @@ from .errors import (ConfigurationError, DegeneracyViolated, IndexMismatch,
                      NonrealSpectrum, RepeatedSpeeds, SingularMatrix)
 from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
                        newton_solve, trapezoid_weights)
-from .kernels import TransformedKernel
 from .symbols import ShiftTerm, Symbol
 from .flow import weighted_index
 
@@ -185,7 +184,7 @@ def linearization_symbol(model, eta=None):
     """
     dGinv = np.linalg.inv(model.dG)
     dK, jump = model.kernel.derivative()
-    kernel = TransformedKernel(dK, -dGinv, model.dF)
+    kernel = dK.sandwich(-dGinv, model.dF)
     shifts = [ShiftTerm(0.0, -dGinv @ jump @ model.dF)]
     if eta is None:
         eta = 0.9 * kernel.strip
@@ -375,42 +374,27 @@ class _ShockSystem(WeightedWindow):
         dFU = self.model.dflux_F(U)
         dGU = self.model.dflux_G(U)
 
-        # block-diagonal multiplication operators
-        def blockdiag(mats, post=None):
-            B = np.zeros((m * n, m * n))
-            for i in range(m):
-                B[i * n:(i + 1) * n, i * n:(i + 1) * n] = mats[i]
-            return B
-
         invW = 1.0 / self.Wvec
-        # d/dV of F(U): Fu(U) * (1/W)
-        BF = blockdiag(dFU * invW[:, None, None])
-        JV = (self.Cmat + np.kron(np.eye(m), np.real(self.K_jump))) @ BF
-        # d/dV of dG(U) U': quadratic-G term plus transport of the derivative
+        # d/dV of F(U): (C + I kron K_jump) times the block diagonal of
+        # Fu(U) / W, multiplied block by block
+        A = self.Cmat + np.kron(np.eye(m), np.real(self.K_jump))
+        JV = np.einsum("rik,ikj->rij", A.reshape(m * n, m, n),
+                       dFU * invW[:, None, None]).reshape(m * n, m * n)
+        # d/dV of dG(U) U': quadratic-G term plus transport of the derivative,
+        # block (i, j) of the latter being dG(U_i) DxW[i, j]
         Dx = self.D4 - np.diag(self.dwexp)
         DxW = Dx * invW[:, None]
-        BG = blockdiag(dGU)
-        JV = JV + _blockwise_apply(BG, DxW, n)
+        JV = JV + (dGU[:, :, None, :] * DxW[:, None, :, None]).reshape(m * n, m * n)
         if self.model.G2 is not None:
             G2U = np.einsum("ijk,mk->mij", self.model.G2, Up)
-            JV = JV + blockdiag(G2U * invW[:, None, None])
+            nodes = np.arange(m)
+            JV.reshape(m, n, m, n)[nodes, :, nodes, :] += G2U * invW[:, None, None]
 
         if self.free_b is not None:
             JV = np.vstack([JV, np.zeros((1, JV.shape[1]))])
         # finite-difference columns for a (and the free b component)
         Jp = fd_columns(self.residual, z, res, self.n_params)
         return np.hstack([Jp, JV[:, self.active_flat]])
-
-
-def _blockwise_apply(B, S, n):
-    """(block-diagonal B) @ (scalar-pattern S kron I_n)."""
-    m = S.shape[0]
-    out = np.zeros((m * n, m * n))
-    for a_ in range(n):
-        for b_ in range(n):
-            diag = B[a_::n, b_::n].diagonal()
-            out[a_::n, b_::n] = diag[:, None] * S
-    return out
 
 
 def shock_profile(model, b, eps, grid=None, validate_index=False,

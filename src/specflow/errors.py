@@ -51,10 +51,6 @@ class LostTrack(NumericalError):
 
 # -- spectral flow -----------------------------------------------------------
 
-class NotHyperbolic(ConfigurationError):
-    """A symbol required to be hyperbolic has an imaginary-axis root."""
-
-
 class EndpointNotHyperbolic(ConfigurationError):
     """A parameter path fails hyperbolicity at (or too close to) its ends."""
 

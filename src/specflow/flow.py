@@ -18,7 +18,7 @@ import numpy as np
 
 from .charmatrix import axis_margin, char_eval, det_values, is_hyperbolic
 from .errors import (ContourThroughRoot, CrossingsUnresolved,
-                     EndpointNotHyperbolic, InconclusiveCount, NotHyperbolic)
+                     EndpointNotHyperbolic, InconclusiveCount)
 from .roots import Rectangle, count_roots, locate_roots
 from .symbols import OperatorFamily, weight_shift
 
@@ -298,14 +298,11 @@ def fredholm_index(s_minus, s_plus, scan_points=400, return_flow=False):
     """Index of the operator with the given limits, via an affine homotopy.
 
     The index depends only on the limit symbols, so a tanh-driven affine
-    homotopy between them is always an admissible path.
+    homotopy between them is always an admissible path.  Both limits are
+    certified hyperbolic once, by `find_crossings`.
     """
     if s_minus.n != s_plus.n:
         raise ValueError("limit symbols must share dimension")
-    for name, sym in (("minus", s_minus), ("plus", s_plus)):
-        res = is_hyperbolic(sym)
-        if not res.hyperbolic:
-            raise NotHyperbolic(f"{name} limit symbol is not hyperbolic")
     fam = OperatorFamily.affine_homotopy(s_minus, s_plus)
     flow = crossing_number(fam, scan_points)
     return flow if return_flow else flow.index

@@ -30,7 +30,6 @@ from .symbols import OperatorFamily, Symbol
 __all__ = [
     "Grid", "GridOperator", "NullityResult", "assemble", "nullity",
     "index_estimate", "solve_inhomogeneous", "weight_exponent",
-    "save_singulars_csv", "save_grid_function_csv", "load_grid_function_csv",
     "trapezoid_weights", "centred_d1", "fd4_matrix", "conv_matrix",
     "WeightedWindow", "newton_solve", "fd_columns",
 ]
@@ -476,48 +475,6 @@ def index_estimate(operator, grid, gamma_minus=0.0, gamma_plus=0.0,
     nf = nullity(fwd, tol_ratio)
     na = nullity(adj, tol_ratio)
     return nf.dim - na.dim, nf, na
-
-
-def save_singulars_csv(path, result, limit=None):
-    """Write the singular-value tail (ascending) for external plotting."""
-    import csv
-    vals = result.singulars if limit is None else result.singulars[:limit]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "sigma"])
-        w.writerows(enumerate(vals))
-
-
-def save_grid_function_csv(path, grid, U):
-    """Write a grid function as xi, re_1, im_1, ..., re_n, im_n."""
-    import csv
-    U = np.atleast_2d(np.asarray(U))
-    if U.shape[0] != grid.size:
-        U = U.reshape(grid.size, -1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        n = U.shape[1]
-        w.writerow(["xi"] + [f"{p}_{k+1}" for k in range(n) for p in ("re", "im")])
-        for x, row in zip(grid.nodes, U):
-            out = [x]
-            for v in row:
-                out.extend([np.real(v), np.imag(v)])
-            w.writerow(out)
-
-
-def load_grid_function_csv(path):
-    """Read a grid function written by save_grid_function_csv."""
-    import csv
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    n = (len(header) - 1) // 2
-    xs, vals = [], []
-    for row in rows[1:]:
-        xs.append(float(row[0]))
-        vals.append([float(row[1 + 2 * k]) + 1j * float(row[2 + 2 * k])
-                     for k in range(n)])
-    return np.array(xs), np.array(vals)
 
 
 def solve_inhomogeneous(gridop, H):

@@ -22,7 +22,7 @@ from .errors import QuadratureTail, StripViolation
 
 __all__ = [
     "KernelSpec", "ExpPolyKernel", "GaussianKernel", "SampledKernel",
-    "SumKernel", "TransformedKernel", "exponential_kernel",
+    "SumKernel", "exponential_kernel",
     "gaussian_kernel", "one_sided_exponential_kernel", "sample_kernel",
 ]
 
@@ -86,6 +86,10 @@ class KernelSpec:
         """
         raise NotImplementedError
 
+    def sandwich(self, left, right):
+        """Kernel left @ K(zeta) @ right for constant matrices left, right."""
+        raise NotImplementedError
+
     def kink_jumps(self):
         """Jumps (K(0+) - K(0-), K'(0+) - K'(0-)) at the origin.
 
@@ -113,13 +117,10 @@ class KernelSpec:
     # -- generic combinators ---------------------------------------------
 
     def scaled(self, c):
-        return TransformedKernel(self, c * np.eye(self.n), np.eye(self.n))
-
-    def sandwich(self, left, right):
-        return TransformedKernel(self, left, right)
+        return SumKernel([(c, self)])
 
     def __add__(self, other):
-        return SumKernel([self, other])
+        return SumKernel([(1.0, self), (1.0, other)])
 
     def head_transform(self, t, nu):
         """integral_{s <= t} K(s) exp(-nu s) ds."""
@@ -147,8 +148,9 @@ class ExpPolyKernel(KernelSpec):
     Each term lives on one half-line: side +1 means support on zeta > 0
     with value C zeta^p exp(-rate zeta); side -1 means support on
     zeta < 0 with value C (-zeta)^p exp(rate zeta).  The family is closed
-    under exponential weights, adjoints and differentiation, so weighted
-    and adjoint symbols keep machine-precision transforms.
+    under exponential weights, adjoints, differentiation and sandwiching
+    by constant matrices, so weighted, adjoint and linearized symbols keep
+    machine-precision transforms.
     """
 
     def __init__(self, n, terms):
@@ -166,6 +168,7 @@ class ExpPolyKernel(KernelSpec):
                 raise ValueError("term power must be >= 0")
             clean.append((side, rate, power, _as_matrix(C, self.n).astype(complex)))
         self.terms = tuple(clean)
+        self._norms = tuple(_spec_norm(C) for _, _, _, C in self.terms)
 
     @property
     def strip(self):
@@ -255,6 +258,11 @@ class ExpPolyKernel(KernelSpec):
         jump = self.value_at_zero(+1) - self.value_at_zero(-1)
         return ExpPolyKernel(self.n, terms), jump
 
+    def sandwich(self, left, right):
+        L, R = _as_matrix(left, self.n), _as_matrix(right, self.n)
+        return ExpPolyKernel(self.n, [(side, b, p, L @ C @ R)
+                                      for side, b, p, C in self.terms])
+
     def kink_jumps(self):
         j0 = self.value_at_zero(+1) - self.value_at_zero(-1)
         deriv, _ = self.derivative()
@@ -265,12 +273,12 @@ class ExpPolyKernel(KernelSpec):
         return self.value_at_zero(side)
 
     def l1_bound(self):
-        return sum(_spec_norm(C) * math.factorial(p) / b ** (p + 1)
-                   for _, b, p, C in self.terms)
+        return sum(nC * math.factorial(p) / b ** (p + 1)
+                   for (_, b, p, _), nC in zip(self.terms, self._norms))
 
     def moment_bound(self):
-        return sum(_spec_norm(C) * math.factorial(p + 1) / b ** (p + 2)
-                   for _, b, p, C in self.terms)
+        return sum(nC * math.factorial(p + 1) / b ** (p + 2)
+                   for (_, b, p, _), nC in zip(self.terms, self._norms))
 
 
 def _poly_val(coeffs, x):
@@ -406,6 +414,11 @@ class GaussianKernel(KernelSpec):
             new[k + 1] -= c / s2
         return GaussianKernel(self.n, self.sigma, self.M, mu=self.mu,
                               poly=tuple(new)), np.zeros((self.n, self.n))
+
+    def sandwich(self, left, right):
+        L, R = _as_matrix(left, self.n), _as_matrix(right, self.n)
+        return GaussianKernel(self.n, self.sigma, L @ self.M @ R,
+                              mu=self.mu, poly=self.poly)
 
     def _abs_moment(self, extra_power):
         s = self.sigma
@@ -548,6 +561,11 @@ class SampledKernel(KernelSpec):
         return (SampledKernel(self.h, d, self.eta0, tol_tail=1.0),
                 np.zeros((self.n, self.n)))
 
+    def sandwich(self, left, right):
+        L, R = _as_matrix(left, self.n), _as_matrix(right, self.n)
+        return SampledKernel(self.h, L @ self.samples @ R, self.eta0,
+                             tol_tail=self.tol_tail)
+
     def l1_bound(self):
         norms = np.linalg.norm(self.samples, axis=(1, 2))
         return float(np.trapezoid(norms, self.grid)) + 2 * self._max_norm * self.tol_tail / self.eta0
@@ -559,117 +577,73 @@ class SampledKernel(KernelSpec):
 
 
 class SumKernel(KernelSpec):
-    """Linear combination of kernels (flattens nested sums)."""
+    """Weighted linear combination sum_k w_k K_k of kernels.
 
-    def __init__(self, parts):
+    Built from (weight, kernel) terms; None kernels are dropped and
+    nested sums flatten by multiplying weights.
+    """
+
+    def __init__(self, terms):
         flat = []
-        for p in parts:
+        for w, p in terms:
             if isinstance(p, SumKernel):
-                flat.extend(p.parts)
+                flat.extend((w * v, q) for v, q in p.terms)
             elif p is not None:
-                flat.append(p)
+                flat.append((w, p))
         if not flat:
             raise ValueError("SumKernel needs at least one part")
-        self.parts = tuple(flat)
-        self.n = self.parts[0].n
-        if any(p.n != self.n for p in self.parts):
+        self.terms = tuple(flat)
+        self.n = self.terms[0][1].n
+        if any(p.n != self.n for _, p in self.terms):
             raise ValueError("kernel dimensions differ")
 
     @property
     def strip(self):
-        return min(p.strip for p in self.parts)
+        return min(p.strip for _, p in self.terms)
 
     def transform(self, nu, order=0):
-        return sum(p.transform(nu, order) for p in self.parts)
+        return sum(w * p.transform(nu, order) for w, p in self.terms)
 
     def value(self, zeta):
-        return sum(p.value(zeta) for p in self.parts)
+        return sum(w * p.value(zeta) for w, p in self.terms)
 
     def tail_transform(self, t, nu):
-        return sum(p.tail_transform(t, nu) for p in self.parts)
+        return sum(w * p.tail_transform(t, nu) for w, p in self.terms)
 
     def weight_shift(self, gamma):
-        return SumKernel([p.weight_shift(gamma) for p in self.parts])
+        return SumKernel([(w, p.weight_shift(gamma)) for w, p in self.terms])
 
     def adjoint(self):
-        return SumKernel([p.adjoint() for p in self.parts])
+        return SumKernel([(np.conj(w), p.adjoint()) for w, p in self.terms])
 
     def derivative(self):
         parts, jump = [], np.zeros((self.n, self.n), dtype=complex)
-        for p in self.parts:
+        for w, p in self.terms:
             dp, j = p.derivative()
-            parts.append(dp)
-            jump = jump + j
+            parts.append((w, dp))
+            jump = jump + w * j
         return SumKernel(parts), jump
+
+    def sandwich(self, left, right):
+        return SumKernel([(w, p.sandwich(left, right)) for w, p in self.terms])
 
     def kink_jumps(self):
         j0 = np.zeros((self.n, self.n), dtype=complex)
         j1 = np.zeros((self.n, self.n), dtype=complex)
-        for p in self.parts:
+        for w, p in self.terms:
             a, b = p.kink_jumps()
-            j0 = j0 + a
-            j1 = j1 + b
+            j0 = j0 + w * a
+            j1 = j1 + w * b
         return j0, j1
 
     def value_one_sided(self, side):
-        return sum(p.value_one_sided(side) for p in self.parts)
+        return sum(w * p.value_one_sided(side) for w, p in self.terms)
 
     def l1_bound(self):
-        return sum(p.l1_bound() for p in self.parts)
+        return sum(abs(w) * p.l1_bound() for w, p in self.terms)
 
     def moment_bound(self):
-        return sum(p.moment_bound() for p in self.parts)
-
-
-class TransformedKernel(KernelSpec):
-    """left @ K(zeta) @ right for constant matrices left, right."""
-
-    def __init__(self, base, left, right):
-        self.base = base
-        self.n = base.n
-        self.left = _as_matrix(left, self.n).astype(complex)
-        self.right = _as_matrix(right, self.n).astype(complex)
-
-    @property
-    def strip(self):
-        return self.base.strip
-
-    def _wrap(self, arr):
-        return self.left @ arr @ self.right
-
-    def transform(self, nu, order=0):
-        return self._wrap(self.base.transform(nu, order))
-
-    def value(self, zeta):
-        return self._wrap(self.base.value(zeta))
-
-    def tail_transform(self, t, nu):
-        return self._wrap(self.base.tail_transform(t, nu))
-
-    def weight_shift(self, gamma):
-        return TransformedKernel(self.base.weight_shift(gamma), self.left, self.right)
-
-    def adjoint(self):
-        return TransformedKernel(self.base.adjoint(),
-                                 self.right.conj().T, self.left.conj().T)
-
-    def derivative(self):
-        dbase, jump = self.base.derivative()
-        return (TransformedKernel(dbase, self.left, self.right),
-                self.left @ jump @ self.right)
-
-    def kink_jumps(self):
-        j0, j1 = self.base.kink_jumps()
-        return self.left @ j0 @ self.right, self.left @ j1 @ self.right
-
-    def value_one_sided(self, side):
-        return self._wrap(self.base.value_one_sided(side))
-
-    def l1_bound(self):
-        return _spec_norm(self.left) * _spec_norm(self.right) * self.base.l1_bound()
-
-    def moment_bound(self):
-        return _spec_norm(self.left) * _spec_norm(self.right) * self.base.moment_bound()
+        return sum(abs(w) * p.moment_bound() for w, p in self.terms)
 
 
 # -- factory helpers ---------------------------------------------------------

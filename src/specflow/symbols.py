@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StripViolation
-from .kernels import KernelSpec, SumKernel, TransformedKernel
+from .kernels import KernelSpec, SumKernel
 
 __all__ = [
     "ShiftTerm", "Symbol", "OperatorFamily", "HypothesisReport",
@@ -46,6 +46,7 @@ class Symbol:
     shifts: tuple[ShiftTerm, ...]
     eta: float
     loc_norm: float = field(init=False)
+    shift_norms: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         shifts = tuple(s if isinstance(s, ShiftTerm) else ShiftTerm(*s)
@@ -65,7 +66,9 @@ class Symbol:
         for s in shifts:
             if s.A.shape != (self.n, self.n):
                 raise ValueError("shift matrix dimension mismatch")
-        loc = sum(np.linalg.norm(s.A, 2) * np.exp(self.eta * abs(s.xi)) for s in shifts)
+        norms = tuple(float(np.linalg.norm(s.A, 2)) for s in shifts)
+        object.__setattr__(self, "shift_norms", norms)
+        loc = sum(a * np.exp(self.eta * abs(s.xi)) for s, a in zip(shifts, norms))
         object.__setattr__(self, "loc_norm", float(loc))
 
     # -- evaluation -----------------------------------------------------
@@ -92,7 +95,7 @@ class Symbol:
         return ker_ok and all(np.max(np.abs(s.A.imag)) == 0 for s in self.shifts)
 
     def shift_norm_sum(self):
-        return sum(np.linalg.norm(s.A, 2) for s in self.shifts)
+        return sum(self.shift_norms)
 
 
 def fourier_eval(kernel, nu, order=0):
@@ -138,12 +141,9 @@ def combine_symbols(s0, s1, w0, w1, eta=None):
     """Entrywise affine combination w0*s0 + w1*s1 (shared dimension)."""
     if s0.n != s1.n:
         raise ValueError("dimension mismatch")
-    parts = []
-    if s0.kernel is not None and w0 != 0.0:
-        parts.append(TransformedKernel(s0.kernel, w0 * np.eye(s0.n), np.eye(s0.n)))
-    if s1.kernel is not None and w1 != 0.0:
-        parts.append(TransformedKernel(s1.kernel, w1 * np.eye(s1.n), np.eye(s1.n)))
-    kernel = SumKernel(parts) if parts else None
+    terms = [(w, s.kernel) for w, s in ((w0, s0), (w1, s1))
+             if s.kernel is not None and w != 0.0]
+    kernel = SumKernel(terms) if terms else None
     table = {}
     for w, sym in ((w0, s0), (w1, s1)):
         if w == 0.0:

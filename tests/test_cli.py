@@ -209,3 +209,23 @@ def test_shock_command_with_b(tmp_path):
     assert rc == 0
     payload = read_json(tmp_path)
     assert payload["b"] == [0.001]
+
+
+@pytest.mark.parametrize("command", [["roots", "--box", "0", "1", "0", "1"],
+                                     ["shock"], ["edge"]])
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--scan", "50"]])
+def test_unread_options_rejected(tmp_path, command, option):
+    with pytest.raises(SystemExit) as exc:
+        run(command[:1] + ["--config", "unused.json", "--out", str(tmp_path)]
+            + command[1:] + option)
+    assert exc.value.code == 2
+
+
+def test_non_hyperbolic_limit_exit_code(tmp_path):
+    axis_root = {"n": 1, "eta": 2.0, "shifts": [{"xi": 0.0, "A": [[0.0]]}]}
+    stable = {"n": 1, "eta": 2.0, "shifts": [{"xi": 0.0, "A": [[1.0]]}]}
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({"s_minus": axis_root, "s_plus": stable}))
+    rc = run(["index", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert read_json(tmp_path, "error.json")["kind"] == "configuration"

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specflow.charmatrix import delta_eval
 from specflow.errors import QuadratureTail, StripViolation
-from specflow.kernels import (ExpPolyKernel, exponential_kernel,
-                              gaussian_kernel, one_sided_exponential_kernel,
-                              sample_kernel)
+from specflow.kernels import (ExpPolyKernel, GaussianKernel, SumKernel,
+                              exponential_kernel, gaussian_kernel,
+                              one_sided_exponential_kernel, sample_kernel)
+from specflow.symbols import combine_symbols
+
+from conftest import random_2x2_symbol, random_scalar_symbol
 
 
 def quad_transform(kernel, nu, order=0):
@@ -152,3 +156,82 @@ def test_kink_jumps_exponential():
     j0, j1 = K.kink_jumps()
     assert j0[0, 0] == pytest.approx(0.0, abs=1e-14)          # continuous
     assert j1[0, 0] == pytest.approx(-4.0, abs=1e-12)         # slope break
+
+
+# -- kernel algebra: sandwich, scaling and weighted sums ------------------------
+
+M2 = np.array([[0.6, -0.3], [0.2, 0.5]])
+
+
+def _algebra_kernels():
+    exp_poly = ExpPolyKernel(2, [(+1, 1.5, 2, M2), (-1, 2.0, 1, M2.T),
+                                 (+1, 1.2, 0, [[0.4, 0.1], [-0.7, 0.3]])])
+    gauss = GaussianKernel(2, 0.8, M2, mu=0.3, poly=(1.0, 0.5, -0.2))
+    sampled = sample_kernel(exponential_kernel(2.0, M2), h=0.05, R=12.0, eta0=1.9)
+    return {"exp_poly": exp_poly, "gaussian": gauss, "sampled": sampled,
+            "sum": SumKernel([(0.7, exp_poly), (-1.3 + 0.2j, gauss)])}
+
+
+def _evaluations(K):
+    nu = np.array([0.3 - 0.9j, -0.2 + 1.7j, 0.05j])
+    out = [K.transform(nu, order) for order in (0, 1, 2)]
+    out.append(K.value(np.array([-1.3, -0.02, 0.0, 0.4, 2.2])))
+    out.append(K.tail_transform(np.array([-1.7, 0.0, 0.9]), 0.4 + 0.8j))
+    out.extend(K.kink_jumps())
+    return out
+
+
+def _assert_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * (1.0 + np.abs(w).max())
+
+
+@pytest.mark.parametrize("name", ["exp_poly", "gaussian", "sampled", "sum"])
+def test_sandwich_matches_matrix_products(name, rng):
+    K = _algebra_kernels()[name]
+    L = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    R = rng.normal(size=(2, 2))
+    S = K.sandwich(L, R)
+    assert type(S) is type(K)
+    _assert_close(_evaluations(S), [L @ e @ R for e in _evaluations(K)])
+
+
+@pytest.mark.parametrize("name", ["exp_poly", "gaussian", "sampled", "sum"])
+def test_scaled_and_weighted_sum(name):
+    kernels = _algebra_kernels()
+    K, other = kernels[name], kernels["exp_poly"]
+    c, d = -1.7, 0.4
+    _assert_close(_evaluations(K.scaled(c)), [c * e for e in _evaluations(K)])
+    assert K.scaled(c).l1_bound() == pytest.approx(abs(c) * K.l1_bound(), rel=1e-15)
+    assert K.scaled(c).moment_bound() == pytest.approx(abs(c) * K.moment_bound(),
+                                                      rel=1e-15)
+    pair = SumKernel([(c, K), (d, other)])
+    _assert_close(_evaluations(pair), [c * a + d * b for a, b in
+                                       zip(_evaluations(K), _evaluations(other))])
+    # nested sums flatten by multiplying weights
+    nested = SumKernel([(2.0, pair)])
+    assert nested.terms == tuple((2.0 * w, p) for w, p in pair.terms)
+    assert nested.l1_bound() == pytest.approx(
+        2.0 * (abs(c) * K.l1_bound() + abs(d) * other.l1_bound()), rel=1e-14)
+
+
+def test_combine_symbols_is_affine_in_delta(rng):
+    nu = np.array([0.1 + 0.4j, -0.3 - 2.5j, 1.1j, 0.0])
+    for make in (random_scalar_symbol, random_2x2_symbol):
+        for _ in range(4):
+            s0, s1 = make(rng, want_hyperbolic=False), make(rng, want_hyperbolic=False)
+            sig = rng.uniform(0.0, 1.0)
+            mix = combine_symbols(s0, s1, 1.0 - sig, sig)
+            want = (1.0 - sig) * delta_eval(s0, nu) + sig * delta_eval(s1, nu)
+            assert np.abs(delta_eval(mix, nu) - want).max() <= 1e-13
+
+
+def test_sum_family_from_json_has_unit_weights():
+    from specflow.configio import kernel_from_json
+    parts = [{"family": "exponential", "a": 2.0, "M": [[1.0]]},
+             {"family": "gaussian", "sigma": 0.7, "M": [[-0.5]]}]
+    K = kernel_from_json({"family": "sum", "parts": parts}, 1)
+    nu = np.array([0.2 + 0.5j, -1.1j])
+    want = sum(kernel_from_json(p, 1).transform(nu) for p in parts)
+    assert np.abs(K.transform(nu) - want).max() <= 1e-15
