@@ -14,7 +14,7 @@ from .charmatrix import (adjoint_symbol, axis_cutoff, axis_margin, char_eval,
                          delta_eval, det_values, is_hyperbolic)
 from .conslaw import (ShockModel, ShockSolution, characteristic_speeds,
                       jump_leading_order, linearization_index,
-                      linearization_symbol, shock_profile, validate_model,
+                      linearization_symbol, shock_profile,
                       zero_speed_constant, zero_speed_selection)
 from .edgebif import (EdgeModel, diffusive_check, edge_constant,
                       edge_eigenvalue, edge_scaling, edge_vectors)

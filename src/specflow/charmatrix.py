@@ -25,6 +25,13 @@ __all__ = [
     "axis_cutoff", "axis_lipschitz",
 ]
 
+# hyperbolicity certificate: refinement stops at intervals narrower than
+# _FLOOR_STEP, where a margin at most _ROOT_TOL is a root
+_FLOOR_STEP = 1e-9
+_ROOT_TOL = 1e-12
+_MAX_ROUNDS = 64
+_REFINE_ROUNDS = 12     # ring refinements per candidate dip in axis_margin
+
 
 def delta_eval(symbol, nu, order=0):
     """Delta(nu) and nu-derivatives, broadcast over arrays of nu.
@@ -64,7 +71,6 @@ class CharEval:
     d: complex
     d1: complex | None = None
     d2: complex | None = None
-    Delta1: np.ndarray | None = None
 
 
 def _cauchy_derivatives(symbol, nu, radius, orders, points=64):
@@ -97,7 +103,6 @@ def char_eval(symbol, nu, orders=(0,)):
     if orders == {0}:
         return res
     Delta1 = delta_eval(symbol, nu, 1)
-    res.Delta1 = Delta1
     svals = np.linalg.svd(Delta, compute_uv=False)
     scale = max(svals[0], 1.0)
     invertible = svals[-1] > 1e-8 * scale
@@ -163,14 +168,14 @@ class HyperbolicityResult:
     samples: int = 0
 
 
-def is_hyperbolic(symbol, floor_step=1e-9, root_tol=1e-12, max_rounds=64):
+def is_hyperbolic(symbol):
     """Certify that det Delta(i ell) never vanishes on the real axis.
 
     Beyond the cutoff from `axis_cutoff` invertibility holds by the norm
     bound.  Inside, the axis is scanned and refined: the interval between
     two samples is cleared when the sampled singular values dominate the
     Lipschitz variation across it.  Refinement that hits the floor step
-    with a margin below `root_tol` reports a root; a floor hit with a
+    with a margin below `_ROOT_TOL` reports a root; a floor hit with a
     small but nonzero margin is flagged inconclusive.
     """
     cap = axis_cutoff(symbol)
@@ -187,7 +192,7 @@ def is_hyperbolic(symbol, floor_step=1e-9, root_tol=1e-12, max_rounds=64):
     roots = []
     inconclusive = False
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         width = hi - lo
         cleared = slo + shi > lip * width
         # drop cleared intervals, bisect the rest
@@ -196,11 +201,11 @@ def is_hyperbolic(symbol, floor_step=1e-9, root_tol=1e-12, max_rounds=64):
             break
         lo, hi, slo, shi = lo[keep], hi[keep], slo[keep], shi[keep]
         width = hi - lo
-        at_floor = width < floor_step
+        at_floor = width < _FLOOR_STEP
         if at_floor.any():
             best = np.minimum(slo[at_floor], shi[at_floor])
             for b, lval in zip(best, lo[at_floor]):
-                if b <= root_tol:
+                if b <= _ROOT_TOL:
                     roots.append(float(lval))
                 else:
                     inconclusive = True
@@ -226,7 +231,7 @@ def is_hyperbolic(symbol, floor_step=1e-9, root_tol=1e-12, max_rounds=64):
                                samples=samples)
 
 
-def axis_margin(symbol, refine_rounds=12, base_samples=None):
+def axis_margin(symbol):
     """Cheap (non-certified) minimum of sigma_min(Delta(i ell)) on the axis.
 
     Used by crossing scans where only the value of the margin function is
@@ -236,7 +241,7 @@ def axis_margin(symbol, refine_rounds=12, base_samples=None):
     threshold.
     """
     cap = axis_cutoff(symbol)
-    m0 = base_samples or max(257, int(min(8 * cap, 2049)) | 1)
+    m0 = max(257, int(min(8 * cap, 2049)) | 1)
     ells = np.linspace(-cap, cap, m0)
     sig = _sigma_min_axis(symbol, ells)
     step0 = ells[1] - ells[0]
@@ -255,7 +260,7 @@ def axis_margin(symbol, refine_rounds=12, base_samples=None):
     for k in cands:
         b, w = float(sig[k]), float(ells[k])
         step = step0
-        for _ in range(refine_rounds):
+        for _ in range(_REFINE_ROUNDS):
             # keep shrinking even without improvement: the dip bottom
             # may sit between ring points at the current resolution
             step = step / 8.0

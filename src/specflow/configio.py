@@ -3,11 +3,15 @@
 Complex scalars are encoded as [re, im]; plain numbers are real.
 Matrices are nested lists.  Kernels, symbols and families follow the
 schemas documented in the README; validation errors carry the offending
-key path and map to CLI exit code 2.
+key path and map to CLI exit code 2.  Expression strings are checked
+against a small arithmetic grammar before they are compiled.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import inspect
 import json
 
 import numpy as np
@@ -32,8 +36,76 @@ _SAFE_FUNCS = {
 }
 
 
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
 def _fail(path, msg):
     raise ConfigurationError(f"{path}: {msg}")
+
+
+def _parser(parse):
+    """Report malformed values met while parsing as ConfigurationError at `path`.
+
+    Key, attribute, type and value errors mean the JSON has a missing key,
+    a list where an object belongs, or a value of the wrong kind.
+    """
+    @functools.wraps(parse)
+    def wrapped(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ConfigurationError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            bound = inspect.signature(parse).bind(*args, **kwargs)
+            bound.apply_defaults()
+            _fail(bound.arguments["path"],
+                  f"malformed value ({type(exc).__name__}: {exc})")
+    return wrapped
+
+
+def _expression(text, names, path):
+    """Compile a config expression after checking its syntax tree.
+
+    Allowed: int and float constants, the variables in `names`, the names
+    of _SAFE_FUNCS, calls of its functions, + - * / ** and unary + -.
+    Anything else, attribute access and subscripts included, is a
+    ConfigurationError.
+    """
+    if not isinstance(text, str):
+        _fail(path, f"expected an expression string, got {text!r}")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        _fail(path, f"invalid expression {text!r}: {exc.msg}")
+
+    def allowed(node):
+        if isinstance(node, ast.Constant):
+            return type(node.value) in (int, float)
+        if isinstance(node, ast.Name):
+            return node.id in names or node.id in _SAFE_FUNCS
+        if isinstance(node, ast.BinOp):
+            return (isinstance(node.op, _OPERATORS)
+                    and allowed(node.left) and allowed(node.right))
+        if isinstance(node, ast.UnaryOp):
+            return isinstance(node.op, _OPERATORS) and allowed(node.operand)
+        if isinstance(node, ast.Call):
+            return (isinstance(node.func, ast.Name)
+                    and callable(_SAFE_FUNCS.get(node.func.id))
+                    and not node.keywords
+                    and all(allowed(a) for a in node.args))
+        return False
+
+    if not allowed(tree.body):
+        _fail(path, f"expression {text!r} is outside the allowed grammar")
+    return compile(text, "<config>", "eval")
+
+
+def _evaluate(code, env, path):
+    """Value of a checked expression; arithmetic failures are config errors."""
+    try:
+        return eval(code, {"__builtins__": {}}, env)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        _fail(path, f"expression evaluation failed: {exc}")
 
 
 def _complex_entry(v, path):
@@ -57,6 +129,7 @@ def _matrix(v, path, n=None):
     return M
 
 
+@_parser
 def kernel_from_json(spec, n, path="kernel"):
     if spec is None:
         return None
@@ -85,6 +158,7 @@ def kernel_from_json(spec, n, path="kernel"):
     _fail(path, f"unknown kernel family {family!r}")
 
 
+@_parser
 def symbol_from_json(spec, path="symbol"):
     try:
         n = int(spec["n"])
@@ -106,20 +180,23 @@ def _rule_family(spec, path):
     n = int(spec["n"])
     eta = float(spec["eta"])
     kernel = kernel_from_json(spec.get("kernel"), n, path + ".kernel")
-    exprs = spec["shift_matrix_exprs"]
-    compiled = [[compile(e, "<config>", "eval") for e in row] for row in exprs]
+    epath = path + ".shift_matrix_exprs"
+    compiled = [[_expression(e, ("rho",), f"{epath}[{i}][{j}]")
+                 for j, e in enumerate(row)]
+                for i, row in enumerate(spec["shift_matrix_exprs"])]
     rho_min = float(spec.get("rho_min", -10.0))
     rho_max = float(spec.get("rho_max", 10.0))
 
     def rule(rho):
         env = dict(_SAFE_FUNCS, rho=rho)
-        A = np.array([[float(eval(c, {"__builtins__": {}}, env))
-                       for c in row] for row in compiled])
+        A = np.array([[float(_evaluate(c, env, epath)) for c in row]
+                      for row in compiled])
         return Symbol(n, kernel, (ShiftTerm(0.0, A),), eta)
 
     return OperatorFamily.from_rule(rule, rho_min, rho_max)
 
 
+@_parser
 def family_from_json(spec, path="family"):
     pspec = spec.get("path")
     if pspec is None:
@@ -150,7 +227,7 @@ def _source_from_json(spec, n, path="source"):
         def H(x):
             x = np.asarray(x, dtype=float)
             return np.exp(-((x - center) / width) ** 2)[:, None] * vec[None, :]
-        return H, 1.0 / width
+        return H
     if kind == "moment":
         # x * gaussian in a single component: odd first-moment source
         vec = np.array([float(v) for v in spec["vector"]])
@@ -159,9 +236,10 @@ def _source_from_json(spec, n, path="source"):
         def H(x):
             x = np.asarray(x, dtype=float)
             return (x * np.exp(-(x / width) ** 2))[:, None] * vec[None, :]
-        return H, 1.0 / width
+        return H
     if kind == "expr":
-        comp = [compile(e, "<config>", "eval") for e in spec["exprs"]]
+        comp = [_expression(e, ("x",), f"{path}.exprs[{j}]")
+                for j, e in enumerate(spec["exprs"])]
         if len(comp) != n:
             _fail(path, f"need {n} component expressions")
 
@@ -171,12 +249,13 @@ def _source_from_json(spec, n, path="source"):
             out = np.zeros((len(x), n))
             for j, c in enumerate(comp):
                 env["x"] = x
-                out[:, j] = eval(c, {"__builtins__": {}}, env)
+                out[:, j] = _evaluate(c, env, f"{path}.exprs[{j}]")
             return out
-        return H, float(spec.get("decay", 1.0))
+        return H
     _fail(path, f"unknown source type {kind!r}")
 
 
+@_parser
 def shock_model_from_json(spec, path="shock"):
     n = int(spec["n"])
     kernel = kernel_from_json(spec.get("kernel"), n, path + ".kernel")
@@ -187,10 +266,10 @@ def shock_model_from_json(spec, path="shock"):
     dG = np.real(_matrix(flux["dG"], path + ".flux.dG", n))
     F2 = np.array(flux["F2"], dtype=float) if "F2" in flux else None
     G2 = np.array(flux["G2"], dtype=float) if "G2" in flux else None
-    source, decay = _source_from_json(spec["source"], n, path + ".source")
+    source = _source_from_json(spec["source"], n, path + ".source")
     return ShockModel(
         n=n, kernel=kernel, dF=dF, dG=dG, source=source, F2=F2, G2=G2,
-        decay_delta=decay, eps_max=float(spec.get("eps_max", 0.05)),
+        eps_max=float(spec.get("eps_max", 0.05)),
         eta=float(spec.get("eta", 0.25)))
 
 
@@ -204,18 +283,19 @@ def _potential_from_json(spec, path):
         def V(x):
             x = np.asarray(x, dtype=float)
             return amp * np.exp(-((x - center) / width) ** 2)
-        return V, 1.0 / width
+        return V
     if kind == "expr":
-        c = compile(spec["expr"], "<config>", "eval")
+        c = _expression(spec["expr"], ("x",), path + ".expr")
 
         def V(x):
             x = np.asarray(x, dtype=float)
             env = dict(_SAFE_FUNCS, x=x)
-            return np.asarray(eval(c, {"__builtins__": {}}, env), dtype=float)
-        return V, float(spec.get("decay", 1.0))
+            return np.asarray(_evaluate(c, env, path + ".expr"), dtype=float)
+        return V
     _fail(path, f"unknown potential type {kind!r}")
 
 
+@_parser
 def edge_model_from_json(spec, path="edge"):
     n = int(spec["n"])
     B = np.real(_matrix(spec["B"], path + ".B", n))
@@ -223,7 +303,7 @@ def edge_model_from_json(spec, path="edge"):
     dirac = (np.real(_matrix(spec["dirac"], path + ".dirac", n))
              if "dirac" in spec else None)
     pert = spec.get("perturbation", {})
-    V, decay = _potential_from_json(pert.get("V", {}), path + ".perturbation.V")
+    V = _potential_from_json(pert.get("V", {}), path + ".perturbation.V")
     P = (np.real(_matrix(pert["matrix"], path + ".perturbation.matrix", n))
          if "matrix" in pert else None)
     pk = kernel_from_json(pert.get("kernel"), n, path + ".perturbation.kernel") \
@@ -232,7 +312,7 @@ def edge_model_from_json(spec, path="edge"):
         _fail(path, "perturbation needs 'matrix' or 'kernel'")
     return EdgeModel(
         n=n, B=B, kernel=kernel, dirac=dirac, V=V, P=P, pert_kernel=pk,
-        decay_delta=decay, eta=float(spec.get("eta", 0.5)),
+        eta=float(spec.get("eta", 0.5)),
         weight_eta=float(spec.get("weight_eta", 0.5)))
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .errors import (ConfigurationError, DegeneracyViolated, IndexMismatch,
-                     NonrealSpectrum, RepeatedSpeeds, SingularMatrix)
+from .errors import (ConfigurationError, DegeneracyViolated, NonrealSpectrum,
+                     RepeatedSpeeds, SingularMatrix)
 from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
                        newton_solve, trapezoid_weights)
 from .symbols import ShiftTerm, Symbol
@@ -36,9 +36,12 @@ from .flow import weighted_index
 __all__ = [
     "ShockModel", "ShockSolution", "characteristic_speeds",
     "linearization_index", "linearization_symbol", "jump_leading_order",
-    "shock_profile", "validate_model", "zero_speed_constant",
-    "zero_speed_selection",
+    "shock_profile", "zero_speed_constant", "zero_speed_selection",
 ]
+
+_GRID = Grid(L=30.0, h=0.05)  # default window of the layer solvers
+_TOL = 1e-10                  # Newton tolerance relative to 1 + max|eps H|
+_MAX_ITER = 50
 
 
 @dataclass
@@ -47,8 +50,7 @@ class ShockModel:
 
     Fluxes are linear by default; optional quadratic tensors F2, G2 add
     F_i += 0.5 * F2[i,j,k] u_j u_k (same for G).  The source is a
-    callable x -> (len(x), n) array, exponentially localized with the
-    declared constants (decay_C, decay_delta).
+    callable x -> (len(x), n) array, exponentially localized.
     """
 
     n: int
@@ -58,8 +60,6 @@ class ShockModel:
     source: object
     F2: np.ndarray | None = None
     G2: np.ndarray | None = None
-    decay_C: float = 1.0
-    decay_delta: float = 1.0
     eps_max: float = 0.05
     eta: float = 0.25                  # weight rate for the correction term
 
@@ -79,12 +79,6 @@ class ShockModel:
         out = U @ self.dF.T
         if self.F2 is not None:
             out = out + 0.5 * np.einsum("ijk,mj,mk->mi", self.F2, U, U)
-        return out
-
-    def flux_G(self, U):
-        out = U @ self.dG.T
-        if self.G2 is not None:
-            out = out + 0.5 * np.einsum("ijk,mj,mk->mi", self.G2, U, U)
         return out
 
     def dflux_F(self, U):
@@ -108,45 +102,6 @@ class ShockModel:
 
     def source_at(self, x):
         return np.asarray(self.source(np.asarray(x, dtype=float)))
-
-
-def validate_model(model, ell_cap=None, samples=4001):
-    """Check the structural flux hypotheses; returns a list of failures.
-
-    Verifies that dG is invertible, the transport matrix has real
-    distinct eigenvalues, dG + K_hat(i ell) dF stays invertible for
-    ell != 0, and that the symmetric-flux condition holds.
-    """
-    failures = []
-    if abs(np.linalg.det(model.dG)) < 1e-12:
-        failures.append("dG is singular")
-    M0 = model.transport_matrix()
-    lam = np.linalg.eigvals(M0)
-    if np.abs(lam.imag).max() > 1e-10 * max(1.0, np.abs(lam).max()):
-        failures.append("transport matrix has complex eigenvalues")
-    lam = np.sort(lam.real)
-    if len(lam) > 1 and np.min(np.diff(lam)) < 1e-10 * max(1.0, np.abs(lam).max()):
-        failures.append("transport eigenvalues are not distinct")
-    cap = ell_cap or (model.n * (model.kernel.l1_bound()
-                                 * np.linalg.norm(model.dF, 2)
-                                 + np.linalg.norm(model.dG, 2)) + 1.0)
-    ells = np.linspace(1e-3, cap, samples)
-    ells = np.concatenate([-ells[::-1], ells])
-    Kv = model.kernel.transform(1j * ells)
-    mats = model.dG + np.einsum("mij,jk->mik", Kv, model.dF)
-    dets = np.abs(np.linalg.det(mats))
-    if dets.min() < 1e-8:
-        k = int(np.argmin(dets))
-        failures.append(
-            f"dG + K_hat(i ell) dF nearly singular at ell = {ells[k]:.4f}")
-    for nu in (0.0, 0.3j, 0.9j, 0.2):
-        KF = model.kernel.transform(np.array(complex(nu)))[()] @ model.dF
-        if np.abs(KF - KF.T).max() > 1e-9 * (1 + np.abs(KF).max()):
-            failures.append("K_hat(nu) dF is not symmetric")
-            break
-    if np.abs(model.dG - model.dG.T).max() > 1e-12 * (1 + np.abs(model.dG).max()):
-        failures.append("dG is not symmetric")
-    return failures
 
 
 def characteristic_speeds(model):
@@ -175,20 +130,18 @@ def characteristic_speeds(model):
     return speeds, E
 
 
-def linearization_symbol(model, eta=None):
+def linearization_symbol(model):
     """Symbol of the normalized linearized operator U + dG^-1 (K_x * dF U).
 
     The x-derivative of the convolution kernel contributes a smooth part
     and, for kernels with a jump at 0, a Dirac term; both are folded into
-    the symbol data.
+    the symbol data, on 0.9 of the kernel's strip.
     """
     dGinv = np.linalg.inv(model.dG)
     dK, jump = model.kernel.derivative()
     kernel = dK.sandwich(-dGinv, model.dF)
     shifts = [ShiftTerm(0.0, -dGinv @ jump @ model.dF)]
-    if eta is None:
-        eta = 0.9 * kernel.strip
-    return Symbol(model.n, kernel, tuple(shifts), eta)
+    return Symbol(model.n, kernel, tuple(shifts), 0.9 * kernel.strip)
 
 
 def linearization_index(model, eta):
@@ -299,19 +252,11 @@ class _ShockSystem(WeightedWindow):
         return self.n + (1 if self.free_b is not None else 0)
 
     def unpack(self, z):
-        n = self.n
-        a = z[:n]
-        k = n
-        if self.free_b is not None:
-            bfree = z[k]
-            k += 1
-        else:
-            bfree = None
-        V = self.window_field(z[k:])
+        """(a, b, V) from the unknowns: a, the free b component, then V."""
         b = self.b.copy()
-        if bfree is not None:
-            b[self.free_b] = bfree
-        return a, b, V
+        if self.free_b is not None:
+            b[self.free_b] = z[self.n]
+        return z[:self.n], b, self.window_field(z[self.n_params:])
 
     def profile(self, a, b, V):
         return self.ansatz_base(a, b) + V / self.Wvec[:, None]
@@ -397,8 +342,7 @@ class _ShockSystem(WeightedWindow):
         return np.hstack([Jp, JV[:, self.active_flat]])
 
 
-def shock_profile(model, b, eps, grid=None, validate_index=False,
-                  tol=1e-10, max_iter=50):
+def shock_profile(model, b, eps, grid=_GRID):
     """Solve the stationary layer equation for given ingoing data b.
 
     Newton iteration on (a, V); the b states are prescribed.  Requires
@@ -410,22 +354,16 @@ def shock_profile(model, b, eps, grid=None, validate_index=False,
     if np.min(np.abs(speeds)) < 1e-10:
         raise ConfigurationError(
             "zero characteristic speed: use zero_speed_selection")
-    if validate_index:
-        idx = linearization_index(model, model.eta)
-        if idx != -model.n:
-            raise IndexMismatch(
-                f"linearization index {idx} != -n = {-model.n}")
-    grid = grid or Grid(L=30.0, h=0.05)
     sys = _ShockSystem(model, grid, b, eps)
     z = np.concatenate([np.asarray(b, dtype=float),
                         np.zeros(int(sys.active_flat.sum()))])
-    return _solve_layer(sys, z, tol, max_iter)
+    return _solve_layer(sys, z)
 
 
-def _solve_layer(sys, z, tol, max_iter):
+def _solve_layer(sys, z):
     scale = 1.0 + np.abs(sys.Hx).max()
     z, res, iterations = newton_solve(sys.residual, sys.jacobian, z,
-                                      tol * scale, max_iter)
+                                      _TOL * scale, _MAX_ITER)
     a, bfull, V = sys.unpack(z)
     W = V / sys.Wvec[:, None]
     U = sys.profile(a, bfull, V)
@@ -458,14 +396,14 @@ def zero_speed_constant(model):
     return float(moment) / pairing, j0, pairing
 
 
-def zero_speed_selection(model, eps, b_rest=None, grid=None,
-                         tol=1e-10, max_iter=50):
+def zero_speed_selection(model, eps):
     """Selection of the layer data on a vanishing characteristic.
 
     Exactly one speed must vanish; the source's first moment against the
     zero-speed direction, normalized by the kernel-slope pairing, gives
-    the selection constant M.  The solver treats the zero-speed ingoing
-    coefficient as an additional unknown and returns
+    the selection constant M.  The other ingoing coefficients are zero;
+    the solver treats the zero-speed one as an additional unknown and
+    returns
     (a_j0, b_j0, M, solution).
     """
     Mconst, j0, pairing = zero_speed_constant(model)
@@ -480,11 +418,10 @@ def zero_speed_selection(model, eps, b_rest=None, grid=None,
             "source has nonzero mass on the zero-speed characteristic; "
             "no stationary layer exists")
 
-    b = np.zeros(model.n) if b_rest is None else np.asarray(b_rest, dtype=float)
-    grid = grid or Grid(L=30.0, h=0.05)
-    sys = _ShockSystem(model, grid, b, eps, free_b_index=j0)
+    b = np.zeros(model.n)
+    sys = _ShockSystem(model, _GRID, b, eps, free_b_index=j0)
     z = np.concatenate([b, [0.0], np.zeros(int(sys.active_flat.sum()))])
-    sol = _solve_layer(sys, z, tol, max_iter)
+    sol = _solve_layer(sys, z)
     a_j0 = float(sol.a[j0])
     b_j0 = float(sol.b[j0])
     sol.diagnostics["M"] = Mconst

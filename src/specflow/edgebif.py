@@ -38,6 +38,12 @@ __all__ = [
     "smooth_ramp",
 ]
 
+_DIFFUSIVE_TOL = 1e-10      # |d|, |d_nu| at the origin and the axis margin
+_RANK_GAP = 1e6             # SVD gap that makes ker K_hat(0) one-dimensional
+_GRID = Grid(L=40.0, h=0.1)  # default window of edge_eigenvalue
+_TOL = 1e-11                # Newton tolerance relative to 1 + eps max|V|
+_MAX_ITER = 40
+
 
 @dataclass
 class EdgeModel:
@@ -56,7 +62,6 @@ class EdgeModel:
     V: object = None                   # callable xi -> scalar (vectorized)
     P: np.ndarray | None = None        # Dirac matrix factor of the perturbation
     pert_kernel: object = None
-    decay_delta: float = 1.0
     eta: float = 0.5                   # strip used for root searches
     weight_eta: float = 0.5            # decay rate enforced on the remainder
 
@@ -106,7 +111,6 @@ def _adjugate(A):
     if n == 1:
         return np.ones((1, 1), dtype=A.dtype)
     adj = np.empty_like(A)
-    rows = np.arange(n)
     for i in range(n):
         for j in range(n):
             minor = np.delete(np.delete(A, i, axis=0), j, axis=1)
@@ -130,7 +134,7 @@ class DiffusiveReport:
     failures: list[str]
 
 
-def diffusive_check(model, tol=1e-10):
+def diffusive_check(model):
     """Verify the three edge conditions on the dispersion function.
 
     The nu-derivatives at the origin come from a contour integral of the
@@ -158,13 +162,13 @@ def diffusive_check(model, tol=1e-10):
     away_margin = float(dvals.min())
 
     failures = []
-    if abs(d00) > tol:
+    if abs(d00) > _DIFFUSIVE_TOL:
         failures.append(f"|d(0,0)| = {abs(d00):.2e}")
-    if abs(d_nu) > tol:
+    if abs(d_nu) > _DIFFUSIVE_TOL:
         failures.append(f"|d_nu(0,0)| = {abs(d_nu):.2e}")
     if not (np.real(d_nunu) * np.real(d_lambda) < 0):
         failures.append("curvature-slope product is not negative")
-    if away_margin <= tol:
+    if away_margin <= _DIFFUSIVE_TOL:
         failures.append("axis root away from the origin")
     return DiffusiveReport(d00=complex(d00), d_nu=complex(d_nu),
                            d_nunu=complex(d_nunu), d_lambda=d_lambda,
@@ -184,7 +188,7 @@ class EdgeData:
     report: DiffusiveReport
 
 
-def edge_vectors(model, rank_gap=1e6):
+def edge_vectors(model):
     """Kernel vectors of K_hat(0) and the first-order correctors.
 
     e0 and e0* span ker K_hat(0) and ker K_hat(0)^T (one-dimensional up
@@ -207,7 +211,7 @@ def edge_vectors(model, rank_gap=1e6):
         e0s = np.array([1.0])
     else:
         U, svals, Vh = np.linalg.svd(K0)
-        if svals[-2] < rank_gap * max(svals[-1], 1e-300):
+        if svals[-2] < _RANK_GAP * max(svals[-1], 1e-300):
             raise RankMismatch(
                 f"kernel of K_hat(0) is not cleanly one-dimensional "
                 f"(svals {svals})")
@@ -445,19 +449,18 @@ class _EdgeSystem(WeightedWindow):
         return np.hstack([Jp, JW[:, self.active_flat]])
 
 
-def edge_eigenvalue(model, eps, grid=None, tol=1e-11, max_iter=40,
-                    M_hint=None):
+def edge_eigenvalue(model, eps, grid=_GRID, data=None):
     """Bifurcating eigenvalue lambda_*(eps) = gamma^2 and its eigenfunction.
 
     Newton on (a_-, gamma, w) with a_+ normalized to 1, seeded on the
     branch gamma ~ -M eps.  A negative M*eps puts the continuation on
     the resonance branch (eigenfunction grows); the result is computed
-    anyway and flagged.
+    anyway and flagged.  `data` is the model's EdgeData when the caller
+    already holds it.
     """
-    data = edge_vectors(model)
-    M = M_hint if M_hint is not None else edge_constant(model, data)
+    data = data or edge_vectors(model)
+    M = edge_constant(model, data)
     resonance = (M * eps) < 0
-    grid = grid or Grid(L=40.0, h=0.1)
     sys = _EdgeSystem(model, grid, eps, data)
     z = np.concatenate([[1.0, -M * eps], np.zeros(int(sys.active_flat.sum()))])
     scale = 1.0 + abs(eps) * np.abs(sys.Vx).max()
@@ -465,7 +468,7 @@ def edge_eigenvalue(model, eps, grid=None, tol=1e-11, max_iter=40,
     # attainable residual for convolution kernels; a stalled iteration
     # already below this level counts as converged at the floor
     z, res, iterations = newton_solve(sys.residual, sys.jacobian, z,
-                                      tol * scale, max_iter,
+                                      _TOL * scale, _MAX_ITER,
                                       rows=sys.conv_rows, plateau=1e-6 * scale)
 
     a_minus, gamma, w = sys.unpack(z)
@@ -499,12 +502,13 @@ class EdgeScaling:
         return abs(self.intercept - self.M_squared) / self.M_squared
 
 
-def edge_scaling(model, eps_list, grid=None):
+def edge_scaling(model, eps_list):
     """lambda_*(eps) sweep with the quadratic-law fit of the ratio."""
-    M = edge_constant(model)
+    data = edge_vectors(model)
+    M = edge_constant(model, data)
     rows = []
     for eps in eps_list:
-        r = edge_eigenvalue(model, eps, grid=grid, M_hint=M)
+        r = edge_eigenvalue(model, eps, data=data)
         rows.append((float(eps), r.lam, r.lam / eps ** 2))
     eps_arr = np.array([r[0] for r in rows])
     ratio = np.array([r[2] for r in rows])

@@ -87,10 +87,6 @@ class NewtonDiverged(NumericalError):
     """Newton iteration failed to converge."""
 
 
-class IndexMismatch(NumericalError):
-    """Computed linearization index contradicts the solvability theory."""
-
-
 class DegeneracyViolated(ConfigurationError):
     """A pairing required to be nonzero vanishes."""
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charmatrix import axis_margin, char_eval, det_values, is_hyperbolic
+from .charmatrix import (_sigma_min_axis, axis_cutoff, axis_margin, char_eval,
+                         is_hyperbolic)
 from .errors import (ContourThroughRoot, CrossingsUnresolved,
                      EndpointNotHyperbolic, InconclusiveCount)
-from .roots import Rectangle, count_roots, locate_roots
+from .roots import Rectangle, _rho_derivative, count_roots, locate_roots
 from .symbols import OperatorFamily, weight_shift
 
 __all__ = [
@@ -83,6 +84,31 @@ def _golden_minimize(f, a, b, tol):
     return x, f(x)
 
 
+def _dips(vals, trigger):
+    """Indices of interior local minima low enough to hide a zero.
+
+    A zero hidden between samples shows up as a local minimum no larger
+    than the local slope times the sample step (plus `trigger`).
+    """
+    c, lo, hi = vals[1:-1], vals[:-2], vals[2:]
+    slope = np.maximum(np.abs(c - lo), np.abs(hi - c))
+    return np.nonzero((c <= lo) & (c <= hi) & (c < 1.5 * slope + trigger))[0] + 1
+
+
+def _sampled_zeros(f, xs, vs, depth):
+    """Zeros of f near the dips of its samples vs at xs, in scan order.
+
+    Zeros are resolved to 1e-6; closer ones (ties from symmetric
+    sampling) are the same zero.
+    """
+    found = []
+    for k in _dips(vs, _MIN_TRIGGER):
+        for z in _bracket_zeros(f, xs[k - 1], xs[k + 1], depth):
+            if not any(abs(z - w) < 2e-6 for w in found):
+                found.append(z)
+    return found
+
+
 def _bracket_zeros(f, lo, hi, depth):
     """Margin zeros inside a bracket that may hold several local minima.
 
@@ -97,16 +123,7 @@ def _bracket_zeros(f, lo, hi, depth):
     if depth <= 0:
         return []
     xs = np.linspace(lo, hi, 33)
-    vs = np.array([f(x) for x in xs])
-    found = []
-    for k in range(1, len(xs) - 1):
-        if vs[k] <= vs[k - 1] and vs[k] <= vs[k + 1]:
-            slope = max(abs(vs[k] - vs[k - 1]), abs(vs[k + 1] - vs[k]))
-            if vs[k] < 1.5 * slope + _MIN_TRIGGER:
-                for z in _bracket_zeros(f, xs[k - 1], xs[k + 1], depth - 1):
-                    if not any(abs(z - w) < 2e-6 for w in found):
-                        found.append(z)
-    return found
+    return _sampled_zeros(f, xs, np.array([f(x) for x in xs]), depth - 1)
 
 
 def _axis_roots_at(symbol, cap):
@@ -117,22 +134,15 @@ def _axis_roots_at(symbol, cap):
     own small counting rectangle for the multiplicity.  This avoids
     subdividing a box whose roots sit exactly on every cut line.
     """
-    from .charmatrix import _sigma_min_axis
     m0 = max(1025, int(min(16 * cap, 8193)) | 1)
     ells = np.linspace(-cap, cap, m0)
     sig = _sigma_min_axis(symbol, ells)
-    step = ells[1] - ells[0]
+    f = lambda l: float(_sigma_min_axis(symbol, np.array([l]))[0])
     freqs = []
-    for k in range(1, m0 - 1):
-        if sig[k] <= sig[k - 1] and sig[k] <= sig[k + 1]:
-            slope = max(abs(sig[k] - sig[k - 1]), abs(sig[k + 1] - sig[k]))
-            if sig[k] < 1.5 * slope + 1e-5:
-                f = lambda l: float(_sigma_min_axis(symbol, np.array([l]))[0])
-                lstar, mstar = _golden_minimize(f, ells[k - 1], ells[k + 1],
-                                                1e-13)
-                if mstar < 1e-7 and not any(abs(lstar - q) < 1e-6
-                                            for q in freqs):
-                    freqs.append(lstar)
+    for k in _dips(sig, 1e-5):
+        lstar, mstar = _golden_minimize(f, ells[k - 1], ells[k + 1], 1e-13)
+        if mstar < 1e-7 and not any(abs(lstar - q) < 1e-6 for q in freqs):
+            freqs.append(lstar)
     freqs.sort()
     sep = min((abs(a - b) for a in freqs for b in freqs if a != b),
               default=np.inf)
@@ -165,7 +175,6 @@ def _side_counts(family, rho, ells, d_loc, r_loc):
 def _crossing_at(family, rho_j, grid_step):
     """Classify the crossing at rho_j: axis roots and side counts."""
     sym = family.at(rho_j)
-    from .charmatrix import axis_cutoff
     axis = _axis_roots_at(sym, axis_cutoff(sym))
     if not axis:
         return None  # refined minimum was not an actual crossing
@@ -209,15 +218,10 @@ def _crossing_at(family, rho_j, grid_step):
 
 def _crossing_speed(family, rho_j, nu_axis):
     """Re nu_dot at a simple crossing by implicit differentiation."""
-    sym = family.at(rho_j)
-    ce = char_eval(sym, nu_axis, orders=(0, 1))
-    h = 1e-5 * max(1.0, (family.rho_max - family.rho_min) / 20.0)
-    dp = complex(det_values(family.at(rho_j + h), np.array(nu_axis)))
-    dm = complex(det_values(family.at(rho_j - h), np.array(nu_axis)))
-    drho = (dp - dm) / (2 * h)
+    ce = char_eval(family.at(rho_j), nu_axis, orders=(0, 1))
     if ce.d1 is None or ce.d1 == 0:
         return None
-    return float(np.real(-drho / ce.d1))
+    return float(np.real(-_rho_derivative(family, rho_j, nu_axis) / ce.d1))
 
 
 def find_crossings(family, scan_points=400):
@@ -237,9 +241,6 @@ def find_crossings(family, scan_points=400):
     grid_step = rhos[1] - rhos[0]
     margin_of = lambda r: axis_margin(family.at(r))[0]
 
-    crossings = []
-    seen = []
-
     # a zero can hide between a boundary sample and its neighbor; such
     # crossings sit at the scan boundary and must be rejected loudly
     for k, nb in ((0, 1), (len(rhos) - 1, len(rhos) - 2)):
@@ -250,30 +251,14 @@ def find_crossings(family, scan_points=400):
                 raise EndpointNotHyperbolic(
                     f"crossing at rho = {rho_j:.4g} sits at the scan boundary")
 
-    k = 1
-    while k < len(rhos) - 1:
-        is_min = vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]
-        # a zero hidden between samples shows up as a local minimum no
-        # larger than the local slope times the grid step
-        slope = max(abs(vals[k] - vals[k - 1]), abs(vals[k + 1] - vals[k]))
-        could_hide_zero = vals[k] < 1.5 * slope + _MIN_TRIGGER
-        if is_min and could_hide_zero:
-            # crossings are resolved to 1e-6 in rho; closer minima (ties
-            # from symmetric sampling) are the same crossing
-            for rho_j in _bracket_zeros(margin_of, rhos[k - 1], rhos[k + 1],
-                                        depth=2):
-                if any(abs(rho_j - s) < 2e-6 for s in seen):
-                    continue
-                edge = 2 * grid_step
-                if (rho_j < family.rho_min + edge
-                        or rho_j > family.rho_max - edge):
-                    raise EndpointNotHyperbolic(
-                        f"crossing at rho = {rho_j:.4g} sits at the scan boundary")
-                seen.append(rho_j)
-                cr = _crossing_at(family, rho_j, grid_step)
-                if cr is not None:
-                    crossings.append(cr)
-        k += 1
+    zeros = _sampled_zeros(margin_of, rhos, vals, depth=2)
+    edge = 2 * grid_step
+    for rho_j in zeros:
+        if rho_j < family.rho_min + edge or rho_j > family.rho_max - edge:
+            raise EndpointNotHyperbolic(
+                f"crossing at rho = {rho_j:.4g} sits at the scan boundary")
+    crossings = [cr for cr in (_crossing_at(family, rho_j, grid_step)
+                               for rho_j in zeros) if cr is not None]
     crossings.sort(key=lambda c: c.rho)
     return crossings
 
@@ -294,7 +279,7 @@ def crossing_number(family, scan_points=400):
     )
 
 
-def fredholm_index(s_minus, s_plus, scan_points=400, return_flow=False):
+def fredholm_index(s_minus, s_plus, scan_points=400):
     """Index of the operator with the given limits, via an affine homotopy.
 
     The index depends only on the limit symbols, so a tanh-driven affine
@@ -304,8 +289,7 @@ def fredholm_index(s_minus, s_plus, scan_points=400, return_flow=False):
     if s_minus.n != s_plus.n:
         raise ValueError("limit symbols must share dimension")
     fam = OperatorFamily.affine_homotopy(s_minus, s_plus)
-    flow = crossing_number(fam, scan_points)
-    return flow if return_flow else flow.index
+    return crossing_number(fam, scan_points).index
 
 
 def weighted_index(symbol, gamma_minus, gamma_plus, scan_points=400):
@@ -321,9 +305,9 @@ def weighted_index(symbol, gamma_minus, gamma_plus, scan_points=400):
     return fredholm_index(sm, sp, scan_points=scan_points)
 
 
-def cocycle_check(s0, s1, s2, scan_points=400):
+def cocycle_check(s0, s1, s2):
     """Indices of the three pairings and whether they add up."""
-    i01 = fredholm_index(s0, s1, scan_points)
-    i12 = fredholm_index(s1, s2, scan_points)
-    i02 = fredholm_index(s0, s2, scan_points)
+    i01 = fredholm_index(s0, s1)
+    i12 = fredholm_index(s1, s2)
+    i02 = fredholm_index(s0, s2)
     return i01, i12, i02, (i01 + i12 == i02)

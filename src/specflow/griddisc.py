@@ -19,7 +19,7 @@ whenever the defect functions decay fast enough inside the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +34,18 @@ __all__ = [
     "WeightedWindow", "newton_solve", "fd_columns",
 ]
 
+_TOL_RATIO = 1e3            # singular-value gap that makes a spectral cut clear
+# near-null modes with more than _EDGE_MASS_LIMIT of their mass in the
+# outer _EDGE_FRACTION of the window are truncation artifacts
+_EDGE_FRACTION = 0.15
+_EDGE_MASS_LIMIT = 0.5
+
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [-L, L] with an optional symmetric weight rate."""
+    """Uniform grid on [-L, L]."""
     L: float = 30.0
     h: float = 0.05
-    gamma: float = 0.0
 
     def __post_init__(self):
         if self.L <= 0 or self.h <= 0:
@@ -48,8 +53,7 @@ class Grid:
 
     @property
     def nodes(self):
-        m = int(round(2 * self.L / self.h))
-        return -self.L + self.h * np.arange(m + 1)
+        return -self.L + self.h * np.arange(self.size)
 
     @property
     def size(self):
@@ -77,7 +81,6 @@ class GridOperator:
     n: int
     weights: tuple[float, float]
     weight_vector: np.ndarray      # exp(w(xi)) per node
-    provenance: dict = field(default_factory=dict)
 
     @property
     def node_count(self):
@@ -198,19 +201,16 @@ def _check_resolution(symbol, grid):
                 f"kernel mass beyond |xi| = L is {tail / total:.2e} of the total")
 
 
-def assemble(operator, grid, weights=None):
+def assemble(operator, grid, weights=(0.0, 0.0)):
     """Assemble the dense matrix of the operator on the grid.
 
-    `weights` is the pair (gamma_minus, gamma_plus); when omitted the
-    grid's symmetric gamma is used for both sides (paper-style weight).
-    The returned matrix is D_W T D_W^{-1} with W = exp(weight exponent).
+    `weights` is the pair (gamma_minus, gamma_plus).  The returned
+    matrix is D_W T D_W^{-1} with W = exp(weight exponent).
     """
     at, const = _as_symbol_map(operator)
     s0 = const if const is not None else at(0.0)
     n = s0.n
     _check_resolution(s0, grid)
-    if weights is None:
-        weights = (-grid.gamma, grid.gamma) if grid.gamma else (0.0, 0.0)
     gm, gp = weights
 
     nodes = grid.nodes
@@ -230,10 +230,10 @@ def assemble(operator, grid, weights=None):
         _fill_constant(M, const, nodes, h, dtype)
     else:
         _fill_varying(M, at, nodes, h, dtype)
-    return _conjugated(M, grid, n, gm, gp, {"constant": const is not None})
+    return _conjugated(M, grid, n, gm, gp)
 
 
-def _conjugated(M, grid, n, gm, gp, provenance):
+def _conjugated(M, grid, n, gm, gp):
     """GridOperator of D_W M D_W^{-1}, conjugating M in place."""
     wexp = weight_exponent(grid.nodes, gm, gp)
     wexp = wexp - wexp.max()  # normalize so the conjugation stays bounded
@@ -241,7 +241,7 @@ def _conjugated(M, grid, n, gm, gp, provenance):
     M *= W[:, None]
     M *= (1.0 / W)[None, :]
     return GridOperator(matrix=M, grid=grid, n=n, weights=(gm, gp),
-                        weight_vector=W, provenance=provenance)
+                        weight_vector=W)
 
 
 def _fill_constant(M, symbol, nodes, h, dtype):
@@ -299,7 +299,7 @@ def _fill_varying(M, at, nodes, h, dtype):
                     M[i * n:(i + 1) * n, col * n:(col + 1) * n] -= wgt * A
 
 
-def assemble_adjoint(operator, grid, weights=None):
+def assemble_adjoint(operator, grid, weights=(0.0, 0.0)):
     """Assemble the formal adjoint operator with the given weights.
 
     For a constant symbol this is the adjoint symbol assembled normally.
@@ -313,8 +313,6 @@ def assemble_adjoint(operator, grid, weights=None):
     s0 = at(0.0)
     n = s0.n
     _check_resolution(s0, grid)
-    if weights is None:
-        weights = (0.0, 0.0)
     gm, gp = weights
 
     nodes = grid.nodes
@@ -370,7 +368,7 @@ def assemble_adjoint(operator, grid, weights=None):
             A = at(target).shifts[j].A if (abs(target) <= grid.L) else at(nodes[i]).shifts[j].A
             for col, wgt in _interp_row(target, nodes, h):
                 M[i * n:(i + 1) * n, col * n:(col + 1) * n] += wgt * np.conj(A.T)
-    return _conjugated(M, grid, n, gm, gp, {"adjoint": True})
+    return _conjugated(M, grid, n, gm, gp)
 
 
 @dataclass
@@ -384,7 +382,7 @@ class NullityResult:
     edge_masses: tuple = ()
 
 
-def nullity(gridop, tol_ratio=1e3, edge_fraction=0.15, edge_mass_limit=0.5):
+def nullity(gridop, tol_ratio=_TOL_RATIO):
     """Numerical kernel dimension from the singular value spectrum.
 
     The cut is placed at the largest ratio gap among singular values
@@ -397,10 +395,9 @@ def nullity(gridop, tol_ratio=1e3, edge_fraction=0.15, edge_mass_limit=0.5):
     living in a boundary layer (half-line artifacts of the truncation).
     Genuine kernel functions are square integrable on the line and enter
     the window concentrated away from the edges, so modes below the cut
-    whose right singular vector carries more than `edge_mass_limit` of
-    its mass in the outer `edge_fraction` of the window are classified
-    as truncation artifacts and excluded from `dim` (they remain counted
-    in `dim_raw`).
+    whose right singular vector carries more than half of its mass in
+    the outer 15% of the window are classified as truncation artifacts
+    and excluded from `dim` (they remain counted in `dim_raw`).
 
     The reliability flag refers to the clarity of the chosen spectral
     cut, not to completeness: kernel modes whose truncation error is not
@@ -412,12 +409,10 @@ def nullity(gridop, tol_ratio=1e3, edge_fraction=0.15, edge_mass_limit=0.5):
     """
     M = gridop.matrix if isinstance(gridop, GridOperator) else gridop
     _, s_desc, Vh = np.linalg.svd(M, full_matrices=False)
-    return _classify_spectrum(gridop, s_desc, Vh, tol_ratio, edge_fraction,
-                              edge_mass_limit)
+    return _classify_spectrum(gridop, s_desc, Vh, tol_ratio)
 
 
-def _classify_spectrum(gridop, s_desc, Vh, tol_ratio=1e3, edge_fraction=0.15,
-                       edge_mass_limit=0.5):
+def _classify_spectrum(gridop, s_desc, Vh, tol_ratio=_TOL_RATIO):
     """The nullity classification of one SVD (descending values, Vh)."""
     s = s_desc[::-1]
     floor = 1e-9 * s[-1]
@@ -439,7 +434,7 @@ def _classify_spectrum(gridop, s_desc, Vh, tol_ratio=1e3, edge_fraction=0.15,
     else:
         m = gridop.shape[0]
         n = 1
-    edge_nodes = max(2, int(np.ceil(edge_fraction * m)))
+    edge_nodes = max(2, int(np.ceil(_EDGE_FRACTION * m)))
     mask = np.zeros(m, dtype=bool)
     mask[:edge_nodes] = True
     mask[-edge_nodes:] = True
@@ -451,18 +446,17 @@ def _classify_spectrum(gridop, s_desc, Vh, tol_ratio=1e3, edge_fraction=0.15,
         v = Vh[-(j + 1)]
         em = float(np.sum(np.abs(v[mask]) ** 2) / np.sum(np.abs(v) ** 2))
         masses.append(em)
-        if em <= edge_mass_limit:
+        if em <= _EDGE_MASS_LIMIT:
             genuine += 1
     # a mode near the edge-mass boundary means the window is too short to
     # separate truncation artifacts from genuine kernel functions
-    ambiguous = any(abs(em - edge_mass_limit) < 0.15 for em in masses)
+    ambiguous = any(abs(em - _EDGE_MASS_LIMIT) < 0.15 for em in masses)
     reliable = best >= tol_ratio and not ambiguous
     return NullityResult(genuine, best, s, tol_abs, reliable,
                          dim_raw=dim_raw, edge_masses=tuple(masses))
 
 
-def index_estimate(operator, grid, gamma_minus=0.0, gamma_plus=0.0,
-                   tol_ratio=1e3):
+def index_estimate(operator, grid, gamma_minus=0.0, gamma_plus=0.0):
     """Numerical Fredholm index: dim ker T minus dim ker T*.
 
     The operator and its formal adjoint are assembled separately (the
@@ -472,8 +466,8 @@ def index_estimate(operator, grid, gamma_minus=0.0, gamma_plus=0.0,
     """
     fwd = assemble(operator, grid, (gamma_minus, gamma_plus))
     adj = assemble_adjoint(operator, grid, (-gamma_minus, -gamma_plus))
-    nf = nullity(fwd, tol_ratio)
-    na = nullity(adj, tol_ratio)
+    nf = nullity(fwd)
+    na = nullity(adj)
     return nf.dim - na.dim, nf, na
 
 

@@ -212,14 +212,6 @@ class ExpPolyKernel(KernelSpec):
             out += w[..., None, None] * C
         return out
 
-    def value_at_zero(self, side):
-        """One-sided limit K(0+) (side=+1) or K(0-) (side=-1)."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for s, b, p, C in self.terms:
-            if s == side and p == 0:
-                out += C
-        return out
-
     def tail_transform(self, t, nu):
         t = np.asarray(t, dtype=float)
         nu = complex(nu)
@@ -255,7 +247,7 @@ class ExpPolyKernel(KernelSpec):
             if p > 0:
                 terms.append((side, b, p - 1, side * p * C))
             terms.append((side, b, p, -side * b * C))
-        jump = self.value_at_zero(+1) - self.value_at_zero(-1)
+        jump = self.value_one_sided(+1) - self.value_one_sided(-1)
         return ExpPolyKernel(self.n, terms), jump
 
     def sandwich(self, left, right):
@@ -264,13 +256,17 @@ class ExpPolyKernel(KernelSpec):
                                       for side, b, p, C in self.terms])
 
     def kink_jumps(self):
-        j0 = self.value_at_zero(+1) - self.value_at_zero(-1)
+        j0 = self.value_one_sided(+1) - self.value_one_sided(-1)
         deriv, _ = self.derivative()
-        j1 = deriv.value_at_zero(+1) - deriv.value_at_zero(-1)
+        j1 = deriv.value_one_sided(+1) - deriv.value_one_sided(-1)
         return j0, j1
 
     def value_one_sided(self, side):
-        return self.value_at_zero(side)
+        out = np.zeros((self.n, self.n), dtype=complex)
+        for s, b, p, C in self.terms:
+            if s == side and p == 0:
+                out += C
+        return out
 
     def l1_bound(self):
         return sum(nC * math.factorial(p) / b ** (p + 1)
@@ -668,10 +664,9 @@ def gaussian_kernel(sigma, M):
                           poly=(1.0 / math.sqrt(2 * math.pi * sigma * sigma),))
 
 
-def sample_kernel(kernel, h, R, eta0=None, tol_tail=1e-6):
+def sample_kernel(kernel, h, R, eta0=None):
     """Sample any closed-form kernel onto a uniform grid."""
     m = int(round(2 * R / h)) + 1
     grid = -R + h * np.arange(m)
     vals = kernel.value(grid)
-    return SampledKernel(h, vals, eta0 if eta0 is not None else min(kernel.strip, 50.0),
-                         tol_tail=tol_tail)
+    return SampledKernel(h, vals, eta0 if eta0 is not None else min(kernel.strip, 50.0))

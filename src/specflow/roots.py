@@ -28,6 +28,11 @@ _CONTOUR_MIN_ABS = 1e-12
 _PHASE_LIMIT = np.pi / 2
 _SEGMENT_FLOOR = 1e-9
 _JITTER_FACTORS = tuple(1.0 + 0.013 * k for k in range(11))
+_LEAF_DIAMETER = 1e-8       # quadrisection floor of locate_roots
+_MAX_DEPTH = 60
+_RESIDUAL_TOL = 1e-10       # relative |d| accepted by the track_root corrector
+_DERIVATIVE_FLOOR = 1e-10   # |d'| below this ends a track as a collision
+_MAX_STEPS = 100000
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def _winding_number(symbol, box):
     reliable: a near-full phase turn hides behind a small principal
     increment, but it always pulls |d| down between the endpoints.
 
-    Returns (count, min |d| seen).  Raises InconclusiveCount when the
+    Returns the count.  Raises InconclusiveCount when the
     accumulated phase fails to round to an integer, ContourThroughRoot
     when a segment at the floor length still jumps phase or |d| dips
     below the contour threshold.
@@ -118,8 +123,7 @@ def _winding_number(symbol, box):
     pts = np.array(pts + [pts[0]])
     vals = det_values(symbol, pts)
 
-    min_abs = float(np.min(np.abs(vals)))
-    if min_abs <= _CONTOUR_MIN_ABS:
+    if np.min(np.abs(vals)) <= _CONTOUR_MIN_ABS:
         raise ContourThroughRoot("contour sample too close to a root")
 
     total = 0.0
@@ -134,7 +138,6 @@ def _winding_number(symbol, box):
         mid = 0.5 * (a + b)
         vm = det_values(symbol, mid)
         vm_abs = np.abs(vm)
-        min_abs = min(min_abs, float(vm_abs.min()))
         if vm_abs.min() <= _CONTOUR_MIN_ABS:
             raise ContourThroughRoot("contour refinement hit a root")
         dip = vm_abs < 0.4 * np.minimum(np.abs(va), np.abs(vb))
@@ -154,7 +157,7 @@ def _winding_number(symbol, box):
     if abs(count - nearest) >= 0.05:
         raise InconclusiveCount(
             f"winding number {count:.4f} is not close to an integer")
-    return int(nearest), min_abs
+    return int(nearest)
 
 
 def count_roots(symbol, box, _allow_jitter=True):
@@ -172,8 +175,7 @@ def count_roots(symbol, box, _allow_jitter=True):
         if max(abs(candidate.re_lo), abs(candidate.re_hi)) >= symbol.eta:
             break  # expansion would leave the strip; stop enlarging
         try:
-            count, _ = _winding_number(symbol, candidate)
-            return count
+            return _winding_number(symbol, candidate)
         except ContourThroughRoot as exc:
             last = exc
             continue
@@ -253,7 +255,7 @@ def _muller(symbol, nu0, box, tol=1e-12, max_iter=60):
     return None
 
 
-def locate_roots(symbol, box, leaf_diameter=1e-8, max_depth=60):
+def locate_roots(symbol, box):
     """Locate all roots with multiplicities inside a rectangle.
 
     Quadrisection until every leaf carries zero or one root; cut lines
@@ -276,7 +278,7 @@ def locate_roots(symbol, box, leaf_diameter=1e-8, max_depth=60):
     def recurse(b, count, depth):
         if count == 0:
             return
-        if b.diameter < leaf_diameter or depth >= max_depth:
+        if b.diameter < _LEAF_DIAMETER or depth >= _MAX_DEPTH:
             cluster(b, count)
             return
         if count == 1:
@@ -302,7 +304,7 @@ def locate_roots(symbol, box, leaf_diameter=1e-8, max_depth=60):
         # blocks separation once the box is small, so accept a tight
         # cluster (polished when possible), otherwise fail loudly rather
         # than invent a location
-        if b.diameter < max(1e3 * leaf_diameter, 2e-4):
+        if b.diameter < max(1e3 * _LEAF_DIAMETER, 2e-4):
             cluster(b, count)
         else:
             raise ContourThroughRoot(
@@ -331,14 +333,11 @@ class RootTrajectory:
     nu_dots: list[complex] = field(default_factory=list)
     status: str = "incomplete"
 
-    @property
-    def final(self):
-        return self.rhos[-1], self.nus[-1]
 
-
-def _rho_derivative(family, rho, nu, d_nu, step=1e-5):
+def _rho_derivative(family, rho, nu):
+    """d d_rho(nu) / d rho by central differences inside the family range."""
     span = family.rho_max - family.rho_min
-    h = step * max(1.0, span / 20.0)
+    h = 1e-5 * max(1.0, span / 20.0)
     lo = max(family.rho_min, rho - h)
     hi = min(family.rho_max, rho + h)
     d_hi = complex(det_values(family.at(hi), np.array(nu)))
@@ -346,8 +345,7 @@ def _rho_derivative(family, rho, nu, d_nu, step=1e-5):
     return (d_hi - d_lo) / (hi - lo)
 
 
-def track_root(family, rho0, nu0, rho1, residual_tol=1e-10,
-               derivative_floor=1e-10, max_steps=100000):
+def track_root(family, rho0, nu0, rho1):
     """Continue a simple root of d_rho from rho0 towards rho1.
 
     Predictor: Euler step with nu_dot = -(d d/d rho)/(d d/d nu), the rho
@@ -362,7 +360,7 @@ def track_root(family, rho0, nu0, rho1, residual_tol=1e-10,
     if abs(d0) > 1e-8 * scale:
         raise NotARoot(f"|d(nu0)| = {abs(d0):.3e} at rho0")
     ce = char_eval(symbol0, nu0, orders=(0, 1))
-    if ce.d1 is None or abs(ce.d1) < derivative_floor:
+    if ce.d1 is None or abs(ce.d1) < _DERIVATIVE_FLOOR:
         raise NotARoot("seed root is not simple")
 
     traj = RootTrajectory()
@@ -372,7 +370,6 @@ def track_root(family, rho0, nu0, rho1, residual_tol=1e-10,
     min_step = max(span * 1e-10, 1e-12)
 
     rho, nu = float(rho0), complex(nu0)
-    sym = symbol0
 
     def record(rho, nu, nud):
         traj.rhos.append(rho)
@@ -380,10 +377,10 @@ def track_root(family, rho0, nu0, rho1, residual_tol=1e-10,
         traj.nu_dots.append(nud)
 
     d1 = ce.d1
-    nud = -_rho_derivative(family, rho, nu, d1) / d1
+    nud = -_rho_derivative(family, rho, nu) / d1
     record(rho, nu, nud)
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if direction * (rho - rho1) >= 0:
             traj.status = "reached end"
             return traj
@@ -392,7 +389,7 @@ def track_root(family, rho0, nu0, rho1, residual_tol=1e-10,
             rho_try = rho + direction * h
             nu_pred = nu + direction * h * nud
             ok, nu_corr, d1_corr = _newton_correct(family.at(rho_try), nu_pred,
-                                                   residual_tol, scale)
+                                                   scale)
             if ok:
                 break
             h *= 0.5
@@ -406,11 +403,11 @@ def track_root(family, rho0, nu0, rho1, residual_tol=1e-10,
             record(rho, nu, nud)
             traj.status = "left strip"
             return traj
-        if d1_corr is None or abs(d1_corr) < derivative_floor:
+        if d1_corr is None or abs(d1_corr) < _DERIVATIVE_FLOOR:
             record(rho, nu, nud)
             traj.status = "merged"
             return traj
-        nud = -_rho_derivative(family, rho, nu, d1_corr) / d1_corr
+        nud = -_rho_derivative(family, rho, nu) / d1_corr
         record(rho, nu, nud)
         cap = max(abs(nud), 1e-3)
         step = min(span / 20.0, max(min_step * 10, 0.05 / cap))
@@ -418,7 +415,7 @@ def track_root(family, rho0, nu0, rho1, residual_tol=1e-10,
     raise LostTrack("step budget exhausted")
 
 
-def _newton_correct(symbol, nu, residual_tol, scale, max_iter=8):
+def _newton_correct(symbol, nu, scale, max_iter=8):
     for _ in range(max_iter):
         try:
             ce = char_eval(symbol, nu, orders=(0, 1))
@@ -435,4 +432,4 @@ def _newton_correct(symbol, nu, residual_tol, scale, max_iter=8):
         ce = char_eval(symbol, nu, orders=(0, 1))
     except StripViolation:
         return False, nu, None
-    return abs(d_final) <= residual_tol * scale, nu, ce.d1
+    return abs(d_final) <= _RESIDUAL_TOL * scale, nu, ce.d1

@@ -25,6 +25,10 @@ __all__ = [
     "fourier_eval", "weight_shift", "combine_symbols", "check_hypotheses",
 ]
 
+_ENDPOINT_PROBES = 5        # axis points of OperatorFamily.endpoint_residual
+_TOL_ENDPOINT = 1e-8        # family invariant: endpoint residual bound
+_TOL_MARGIN = 1e-10         # limit hyperbolicity margins must exceed this
+
 
 @dataclass(frozen=True)
 class ShiftTerm:
@@ -137,8 +141,8 @@ def weight_shift(symbol, gamma):
     return Symbol(symbol.n, kernel, tuple(shifts), symbol.eta - abs(gamma))
 
 
-def combine_symbols(s0, s1, w0, w1, eta=None):
-    """Entrywise affine combination w0*s0 + w1*s1 (shared dimension)."""
+def combine_symbols(s0, s1, w0, w1):
+    """Entrywise affine combination w0*s0 + w1*s1 on the narrower strip."""
     if s0.n != s1.n:
         raise ValueError("dimension mismatch")
     terms = [(w, s.kernel) for w, s in ((w0, s0), (w1, s1))
@@ -151,9 +155,7 @@ def combine_symbols(s0, s1, w0, w1, eta=None):
         for t in sym.shifts:
             table[t.xi] = table.get(t.xi, 0) + w * t.A
     shifts = tuple(ShiftTerm(xi, A) for xi, A in sorted(table.items()))
-    if eta is None:
-        eta = min(s0.eta, s1.eta)
-    return Symbol(s0.n, kernel, shifts, eta)
+    return Symbol(s0.n, kernel, shifts, min(s0.eta, s1.eta))
 
 
 class OperatorFamily:
@@ -166,7 +168,7 @@ class OperatorFamily:
     """
 
     def __init__(self, rho_min, rho_max, evaluate, s_minus, s_plus,
-                 kind="rule", differentiable=True):
+                 differentiable=True):
         if not rho_min < rho_max:
             raise ValueError("need rho_min < rho_max")
         self.rho_min = float(rho_min)
@@ -174,7 +176,6 @@ class OperatorFamily:
         self._evaluate = evaluate
         self.s_minus = s_minus
         self.s_plus = s_plus
-        self.kind = kind
         self.differentiable = differentiable
         if s_minus.n != s_plus.n:
             raise ValueError("endpoint dimensions differ")
@@ -189,7 +190,7 @@ class OperatorFamily:
         def evaluate(rho):
             sig = 0.5 * (1.0 + np.tanh(rho))
             return combine_symbols(s0, s1, 1.0 - sig, sig)
-        return cls(rho_min, rho_max, evaluate, s0, s1, kind="affine")
+        return cls(rho_min, rho_max, evaluate, s0, s1)
 
     @classmethod
     def tabulated(cls, points):
@@ -206,23 +207,20 @@ class OperatorFamily:
             return combine_symbols(syms[k], syms[k + 1], 1.0 - t, t)
 
         return cls(rhos[0], rhos[-1], evaluate, syms[0], syms[-1],
-                   kind="tabulated", differentiable=False)
+                   differentiable=False)
 
     @classmethod
-    def from_rule(cls, rule, rho_min, rho_max, s_minus=None, s_plus=None):
-        return cls(rho_min, rho_max, rule,
-                   s_minus if s_minus is not None else rule(rho_min),
-                   s_plus if s_plus is not None else rule(rho_max),
-                   kind="rule")
+    def from_rule(cls, rule, rho_min, rho_max):
+        return cls(rho_min, rho_max, rule, rule(rho_min), rule(rho_max))
 
-    def endpoint_residual(self, probes=5):
+    def endpoint_residual(self):
         """Worst entrywise mismatch of Delta at the interval ends.
 
         Compared against the declared limits at 5 probe points on the
         imaginary axis; the family invariant requires <= 1e-8.
         """
         from .charmatrix import delta_eval
-        ls = np.linspace(-2.0, 2.0, probes)
+        ls = np.linspace(-2.0, 2.0, _ENDPOINT_PROBES)
         nu = 1j * ls
         worst = 0.0
         for rho, ref in ((self.rho_min, self.s_minus), (self.rho_max, self.s_plus)):
@@ -255,7 +253,7 @@ class HypothesisReport:
         return not self.failures
 
 
-def check_hypotheses(family, tol_endpoint=1e-8, tol_margin=1e-10):
+def check_hypotheses(family):
     """Verify localization, endpoint convergence and limit hyperbolicity.
 
     Reporting only: every violated condition appends a line to
@@ -283,16 +281,16 @@ def check_hypotheses(family, tol_endpoint=1e-8, tol_margin=1e-10):
                     strip_ok = False
                     failures.append(f"transform evaluation failed at {name}: {exc}")
     res_end = family.endpoint_residual()
-    if res_end > tol_endpoint:
+    if res_end > _TOL_ENDPOINT:
         failures.append(
-            f"endpoint residual {res_end:.3e} exceeds {tol_endpoint:.1e}")
+            f"endpoint residual {res_end:.3e} exceeds {_TOL_ENDPOINT:.1e}")
     hyp_m = is_hyperbolic(sm)
     hyp_p = is_hyperbolic(sp)
     if not hyp_m.hyperbolic:
         failures.append("limit at -infinity is not hyperbolic")
     if not hyp_p.hyperbolic:
         failures.append("limit at +infinity is not hyperbolic")
-    if min(hyp_m.margin, hyp_p.margin) <= tol_margin:
+    if min(hyp_m.margin, hyp_p.margin) <= _TOL_MARGIN:
         failures.append("hyperbolicity margin below tolerance")
     return HypothesisReport(
         loc_norm_minus=sm.loc_norm,

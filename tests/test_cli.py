@@ -134,11 +134,28 @@ def test_missing_config_exit_code(tmp_path):
     assert err["kind"] == "configuration"
 
 
-def test_invalid_schema_exit_code(tmp_path):
+def _rule_config(expr):
+    return {"path": {"type": "rule", "n": 1, "eta": 2.0,
+                     "shift_matrix_exprs": [[expr]]}}
+
+
+@pytest.mark.parametrize("config", [
+    {"path": {"type": "mystery"}},
+    # expressions outside the arithmetic grammar are never evaluated
+    _rule_config("(1).__class__"),
+    _rule_config("__import__('os')"),
+    _rule_config("[1][0]"),
+    _rule_config("lambda: 1"),
+    {"s_minus": {"n": "x", "eta": 1.0}, "s_plus": {"n": 1, "eta": 1.0}},
+    {"path": [1]},
+], ids=["unknown_path", "attribute", "import", "subscript", "lambda", "bad_n",
+        "path_not_object"])
+def test_invalid_schema_exit_code(tmp_path, config):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"path": {"type": "mystery"}}))
+    bad.write_text(json.dumps(config))
     rc = run(["index", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 2
+    assert read_json(tmp_path, "error.json")["kind"] == "configuration"
 
 
 def test_shock_eps_out_of_range_exit_code(tmp_path):

@@ -135,8 +135,18 @@ def test_eigenfunction_decay_rate():
     assert slope == pytest.approx(expected, rel=0.1)
 
 
-def test_scaling_intercept():
+def test_scaling_intercept(monkeypatch):
+    import specflow.edgebif as edgebif
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return diffusive_check(model)
+
+    monkeypatch.setattr(edgebif, "diffusive_check", counted)
     sc = edge_scaling(schrodinger_model(), [0.04, 0.02, 0.01])
+    # the sweep builds its edge data once and hands it to every point
+    assert len(calls) == 1
     assert sc.intercept_rel_error < 0.02
     ratios = [q for _, _, q in sc.rows]
     assert all(abs(q - sc.M_squared) < 0.1 * sc.M_squared for q in ratios)
