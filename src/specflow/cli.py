@@ -31,8 +31,8 @@ from .conslaw import (characteristic_speeds, jump_leading_order,
 from .edgebif import edge_scaling
 from .errors import ConfigurationError, NumericalError, SpecflowError
 from .flow import crossing_number, fredholm_index
+from .rational import axis_winding
 from .roots import Rectangle, locate_roots
-from .symbols import ShiftTerm, Symbol
 
 __all__ = ["main", "run", "specmap"]
 
@@ -63,29 +63,13 @@ def _write_csv(outdir, name, header, rows):
     return str(outdir / name)
 
 
-# -- lambda-pencil symbols for the spectral map -------------------------------
-
-def _pencil_from_json(spec, path):
-    base = configio.symbol_from_json(spec, path)
-    lam_mat = np.array(
-        [[configio._complex_entry(x, path + ".lambda_matrix") for x in row]
-         for row in spec["lambda_matrix"]])
-
-    def at(lam):
-        shifts = dict((s.xi, s.A) for s in base.shifts)
-        shifts[0.0] = shifts.get(0.0, 0.0) + lam * lam_mat
-        return Symbol(base.n, base.kernel,
-                      tuple(ShiftTerm(xi, A) for xi, A in sorted(shifts.items())),
-                      base.eta)
-
-    return at
-
-
 def specmap(minus_at, plus_at, re_vals, im_vals, jobs=1, scan_points=200):
     """Fredholm-index map over a rectangle of spectral parameters.
 
     For each lambda on the grid both limit symbols are tested for
-    hyperbolicity; where both pass, the index of the pair is computed.
+    hyperbolicity; where both pass, the index of the pair is computed:
+    exactly as W(s_plus) - W(s_minus) when both limits are rational
+    (`rational.axis_winding`), by spectral flow otherwise.
     Returns (records, borders): records hold per-point results, borders
     the essential-spectrum boundary points localized by bisection along
     grid edges where hyperbolicity flips.
@@ -99,10 +83,14 @@ def specmap(minus_at, plus_at, re_vals, im_vals, jobs=1, scan_points=200):
         idx = None
         note = ""
         if hm.hyperbolic and hp.hyperbolic:
-            try:
-                idx = fredholm_index(sm, sp, scan_points=scan_points)
-            except SpecflowError as exc:
-                note = type(exc).__name__
+            w_minus, w_plus = axis_winding(sm), axis_winding(sp)
+            if w_minus is not None and w_plus is not None:
+                idx = w_plus - w_minus
+            else:
+                try:
+                    idx = fredholm_index(sm, sp, scan_points=scan_points)
+                except SpecflowError as exc:
+                    note = type(exc).__name__
         return {"lambda": lam, "hyp_minus": hm.hyperbolic,
                 "hyp_plus": hp.hyperbolic, "index": idx, "note": note}
 
@@ -204,10 +192,10 @@ def _parse_range(text):
 def _cmd_specmap(args, outdir):
     cfg = configio.load_config(args.config)
     limits = cfg.get("limits")
-    if limits is None:
-        raise ConfigurationError("specmap config needs a 'limits' section")
-    minus_at = _pencil_from_json(limits["minus"], "limits.minus")
-    plus_at = _pencil_from_json(limits["plus"], "limits.plus")
+    if not isinstance(limits, dict):
+        raise ConfigurationError("specmap config needs a 'limits' object")
+    minus_at = configio.pencil_from_json(limits.get("minus"), "limits.minus")
+    plus_at = configio.pencil_from_json(limits.get("plus"), "limits.plus")
     re_vals = _parse_range(args.re)
     im_vals = _parse_range(args.im)
     records, borders = specmap(minus_at, plus_at, re_vals, im_vals,

@@ -25,7 +25,7 @@ from .kernels import (ExpPolyKernel, SampledKernel, SumKernel,
 from .symbols import OperatorFamily, ShiftTerm, Symbol
 
 __all__ = [
-    "load_config", "symbol_from_json", "family_from_json",
+    "load_config", "symbol_from_json", "pencil_from_json", "family_from_json",
     "shock_model_from_json", "edge_model_from_json", "kernel_from_json",
 ]
 
@@ -47,7 +47,8 @@ def _parser(parse):
     """Report malformed values met while parsing as ConfigurationError at `path`.
 
     Key, attribute, type and value errors mean the JSON has a missing key,
-    a list where an object belongs, or a value of the wrong kind.
+    a list where an object belongs, or a value of the wrong kind; an
+    arithmetic error means a number too large for a float.
     """
     @functools.wraps(parse)
     def wrapped(*args, **kwargs):
@@ -55,7 +56,8 @@ def _parser(parse):
             return parse(*args, **kwargs)
         except ConfigurationError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (ArithmeticError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:
             bound = inspect.signature(parse).bind(*args, **kwargs)
             bound.apply_defaults()
             _fail(bound.arguments["path"],
@@ -69,7 +71,7 @@ def _expression(text, names, path):
     Allowed: int and float constants, the variables in `names`, the names
     of _SAFE_FUNCS, calls of its functions, + - * / ** and unary + -.
     Anything else, attribute access and subscripts included, is a
-    ConfigurationError.
+    ConfigurationError.  Int constants are evaluated as floats.
     """
     if not isinstance(text, str):
         _fail(path, f"expected an expression string, got {text!r}")
@@ -97,7 +99,16 @@ def _expression(text, names, path):
 
     if not allowed(tree.body):
         _fail(path, f"expression {text!r} is outside the allowed grammar")
-    return compile(text, "<config>", "eval")
+    # int constants become floats, so an oversized power overflows into an
+    # ArithmeticError instead of growing a big integer without bound
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                _fail(path, f"integer literal in {text[:40]!r} is too large "
+                            "for a float")
+    return compile(tree, "<config>", "eval")
 
 
 def _evaluate(code, env, path):
@@ -174,6 +185,23 @@ def symbol_from_json(spec, path="symbol"):
         return Symbol(n, kernel, tuple(shifts), eta)
     except Exception as exc:
         _fail(path, str(exc))
+
+
+@_parser
+def pencil_from_json(spec, path="pencil"):
+    """lambda -> Symbol, with lambda * lambda_matrix added to the shift at 0."""
+    base = symbol_from_json(spec, path)
+    lam_mat = _matrix(spec["lambda_matrix"], path + ".lambda_matrix",
+                      base.n).astype(complex)
+
+    def at(lam):
+        shifts = dict((s.xi, s.A) for s in base.shifts)
+        shifts[0.0] = shifts.get(0.0, 0.0) + lam * lam_mat
+        return Symbol(base.n, base.kernel,
+                      tuple(ShiftTerm(xi, A) for xi, A in sorted(shifts.items())),
+                      base.eta)
+
+    return at
 
 
 def _rule_family(spec, path):

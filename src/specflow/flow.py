@@ -7,7 +7,8 @@ number, and the Fredholm index of the associated operator equals its
 negative.  Crossings are found as zeros of the nonnegative hyperbolicity
 margin, refined by golden-section; the root bookkeeping near a crossing
 is stabilized by shrinking the counting boxes until two consecutive
-halvings agree.
+halvings agree.  When both limits are rational, the crossings are
+audited against the exact axis windings of `specflow.rational`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .charmatrix import (_sigma_min_axis, axis_cutoff, axis_margin, char_eval,
                          is_hyperbolic)
 from .errors import (ContourThroughRoot, CrossingsUnresolved,
                      EndpointNotHyperbolic, InconclusiveCount)
+from .rational import axis_winding
 from .roots import Rectangle, _rho_derivative, count_roots, locate_roots
 from .symbols import OperatorFamily, weight_shift
 
@@ -34,6 +36,7 @@ _CROSSING_TOL = 1e-8    # refined minima below this count as crossings
 # accuracy so that transversal crossings refine to margins under the
 # classification cutoff even for steep margin slopes
 _GOLDEN_TOL = 1e-12
+_RESAMPLE_POINTS = 65   # margin samples across a bracket that fails the audit
 
 
 @dataclass
@@ -263,9 +266,77 @@ def find_crossings(family, scan_points=400):
     return crossings
 
 
+def _resample_bracket(family, lo, hi):
+    """Every crossing in [lo, hi), from a dense resample of the margin.
+
+    The samples reach one step past each end, so a zero next to a bracket
+    end still shows up as an interior dip.
+    """
+    step = (hi - lo) / (_RESAMPLE_POINTS - 1)
+    xs = np.linspace(lo - step, hi + step, _RESAMPLE_POINTS + 2)
+    margin_of = lambda r: axis_margin(family.at(r))[0]
+    vals = np.array([margin_of(x) for x in xs])
+    found = [_crossing_at(family, rho_j, step)
+             for rho_j in _sampled_zeros(margin_of, xs, vals, depth=2)
+             if lo <= rho_j < hi]
+    return [cr for cr in found if cr is not None]
+
+
+def _audit(family, crossings, scan_points):
+    """Crossings whose net contribution matches the exact axis windings.
+
+    For rational limits the index must equal W(s_plus) - W(s_minus)
+    (`rational.axis_winding`).  On a mismatch, exact windings at scan
+    points bisect for a bracket whose winding change differs from its
+    crossings' contributions; that bracket is resampled and its crossings
+    replaced.  A bracket the resample cannot reconcile raises
+    CrossingsUnresolved, so a wrong integer is never returned.
+    """
+    w_minus = axis_winding(family.s_minus)
+    w_plus = axis_winding(family.s_plus)
+    if w_minus is None or w_plus is None:
+        return crossings
+    rhos = np.linspace(family.rho_min, family.rho_max, scan_points)
+    last = len(rhos) - 1
+    windings = {0: w_minus, last: w_plus}
+
+    def defect(k):
+        # exact winding change over [rho_min, rhos[k]] plus the net
+        # contribution of the crossings found there; zero when they agree
+        if k not in windings:
+            windings[k] = axis_winding(family.at(rhos[k]))
+            if windings[k] is None:
+                raise CrossingsUnresolved(
+                    f"no exact winding at scan point rho = {rhos[k]:.6g}")
+        return windings[k] - w_minus + sum(c.contribution for c in crossings
+                                           if c.rho < rhos[k])
+
+    # each pass reconciles one bracket and leaves the others as they were
+    while defect(last) != 0:
+        lo, hi = 0, last
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if defect(mid) == 0:
+                lo = mid
+            else:
+                hi = mid
+        kept = [c for c in crossings if not rhos[lo] <= c.rho < rhos[hi]]
+        crossings = sorted(kept + _resample_bracket(family, rhos[lo], rhos[hi]),
+                           key=lambda c: c.rho)
+        if defect(hi) != 0:
+            raise CrossingsUnresolved(
+                f"crossings in [{rhos[lo]:.6g}, {rhos[hi]:.6g}] do not add up "
+                f"to the exact winding change {windings[hi] - windings[lo]}")
+    return crossings
+
+
 def crossing_number(family, scan_points=400):
-    """Net left-to-right axis crossings and the resulting index."""
-    crossings = find_crossings(family, scan_points)
+    """Net left-to-right axis crossings and the resulting index.
+
+    For rational limits the crossings are audited against the exact axis
+    windings first (see `_audit`).
+    """
+    crossings = _audit(family, find_crossings(family, scan_points), scan_points)
     cross = sum(c.contribution for c in crossings)
     return FlowResult(
         crossings=crossings,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specflow.charmatrix import is_hyperbolic
+from specflow.charmatrix import det_values, is_hyperbolic
 from specflow.kernels import exponential_kernel
 from specflow.symbols import ShiftTerm, Symbol
 
@@ -29,6 +29,19 @@ def random_2x2_symbol(rng, eta=1.5, want_hyperbolic=True, max_tries=60):
         if not want_hyperbolic or is_hyperbolic(sym).hyperbolic:
             return sym
     raise RuntimeError("no hyperbolic sample found")
+
+
+def sampled_axis_winding(sym, points=20001):
+    """Winding of det Delta(i ell) / (i ell + 1)^n over the real ell axis.
+
+    The ratio tends to 1 at both ends, so for hyperbolic limits the index
+    is W(s_plus) - W(s_minus).  Uncertified: the tangent map of a uniform
+    angle grid keeps the phase steps small.
+    """
+    t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, points)[1:-1]
+    nu = 1j * np.tan(t)
+    phase = np.unwrap(np.angle(det_values(sym, nu) / (nu + 1.0) ** sym.n))
+    return int(round((phase[-1] - phase[0]) / (2 * np.pi)))
 
 
 @pytest.fixture

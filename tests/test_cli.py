@@ -148,14 +148,31 @@ def _rule_config(expr):
     _rule_config("lambda: 1"),
     {"s_minus": {"n": "x", "eta": 1.0}, "s_plus": {"n": 1, "eta": 1.0}},
     {"path": [1]},
+    # integer constants are evaluated as floats, so these overflow at once
+    # instead of running for ever in big-integer arithmetic
+    _rule_config("9**9**9"),
+    _rule_config("1" * 400),
 ], ids=["unknown_path", "attribute", "import", "subscript", "lambda", "bad_n",
-        "path_not_object"])
+        "path_not_object", "integer_tower", "huge_literal"])
 def test_invalid_schema_exit_code(tmp_path, config):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     rc = run(["index", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert read_json(tmp_path, "error.json")["kind"] == "configuration"
+
+
+def test_specmap_missing_lambda_matrix_exit_code(tmp_path):
+    cfg = json.loads((CONFIGS / "neuralfield.json").read_text())
+    del cfg["limits"]["plus"]["lambda_matrix"]
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps(cfg))
+    rc = run(["specmap", "--config", str(bad), "--out", str(tmp_path),
+              "--re=0:0:1", "--im=0:0:1"])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration"
+    assert "limits.plus" in err["error"]
 
 
 def test_shock_eps_out_of_range_exit_code(tmp_path):

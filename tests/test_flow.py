@@ -1,16 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
-from specflow.charmatrix import det_values
+from specflow import flow
+from specflow.cli import run
 from specflow.errors import EndpointNotHyperbolic
 from specflow.flow import (cocycle_check, crossing_number, find_crossings,
                            fredholm_index, weighted_index)
 from specflow.kernels import exponential_kernel
+from specflow.rational import axis_winding as exact_winding
 from specflow.roots import Rectangle, locate_roots, track_root
 from specflow.symbols import (OperatorFamily, ShiftTerm, Symbol,
                               weight_shift)
 
-from conftest import random_2x2_symbol, random_scalar_symbol
+from conftest import (random_2x2_symbol, random_scalar_symbol,
+                      sampled_axis_winding as axis_winding)
 
 
 def tanh_family(sign=+1.0):
@@ -139,37 +144,87 @@ def test_integer_stability_under_resolution():
             == weighted_index(sym, -0.1, 0.1, scan_points=800))
 
 
-def axis_winding(sym, points=20001):
-    """Winding of det Delta(i ell) / (i ell + 1)^n over the real ell axis.
-
-    The ratio tends to 1 at both ends, so for hyperbolic limits the index
-    is axis_winding(s_plus) - axis_winding(s_minus).  Uncertified: the
-    tangent map of a uniform angle grid keeps the phase steps small.
-    """
-    t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, points)[1:-1]
-    nu = 1j * np.tan(t)
-    phase = np.unwrap(np.angle(det_values(sym, nu) / (nu + 1.0) ** sym.n))
-    return int(round((phase[-1] - phase[0]) / (2 * np.pi)))
+def exp_pair(minus, plus, eta=1.5):
+    """Limits (a, M, A) -> symbols with an exponential kernel and a shift at 0."""
+    return tuple(Symbol(2, exponential_kernel(a, M), (ShiftTerm(0.0, A),), eta)
+                 for a, M, A in (minus, plus))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "known missed crossing: a conjugate pair crosses at rho ~ 0.6564 "
-    "(ell = +-0.1225) and a real root at rho ~ 0.6966 (ell = 0), both in "
-    "the scan bracket [0.6266, 0.7268]; _bracket_zeros returns after its "
-    "first golden-section hit, so the flow counts 2"))
+# limits of a seeded 2x2 benchmark pair (index_flow seed 10, pair1_02)
+SEED10_PAIR = (
+    (2.9483112041440394, [[0.5205326502156773, -0.2588555000454784],
+                          [0.12121687671122172, 0.4052829835335632]],
+     [[0.785049448859509, 1.0402523300437954],
+      [-0.8520127321530544, 0.5893925065054499]]),
+    (2.527037994983611, [[-0.2659768692490587, 0.28583803761302873],
+                         [-0.5529198872625696, -0.4003591689659469]],
+     [[0.8877461905346633, 0.24088276904620587],
+      [-0.5712406656707191, -0.8414042386056282]]),
+)
+
+
 def test_two_zeros_in_one_scan_bracket():
-    # limits of a seeded 2x2 benchmark pair (index_flow seed 10, pair1_02)
-    sm = Symbol(2, exponential_kernel(2.9483112041440394,
-                                      [[0.5205326502156773, -0.2588555000454784],
-                                       [0.12121687671122172, 0.4052829835335632]]),
-                (ShiftTerm(0.0, [[0.785049448859509, 1.0402523300437954],
-                                 [-0.8520127321530544, 0.5893925065054499]]),), 1.5)
-    sp = Symbol(2, exponential_kernel(2.527037994983611,
-                                      [[-0.2659768692490587, 0.28583803761302873],
-                                       [-0.5529198872625696, -0.4003591689659469]]),
-                (ShiftTerm(0.0, [[0.8877461905346633, 0.24088276904620587],
-                                 [-0.5712406656707191, -0.8414042386056282]]),), 1.5)
+    # a conjugate pair crosses at rho ~ 0.6564 (ell = +-0.1225) and a real
+    # root at rho ~ 0.6966 (ell = 0), close enough that the scan's
+    # golden-section search stops at the first; the audit against the
+    # exact windings finds the second
+    sm, sp = exp_pair(*SEED10_PAIR)
     w_minus, w_plus = axis_winding(sm), axis_winding(sp)
     if (w_minus, w_plus) != (-2, -1):
         pytest.fail(f"axis windings moved to {(w_minus, w_plus)}")
-    assert fredholm_index(sm, sp) == w_plus - w_minus
+    assert (exact_winding(sm), exact_winding(sp)) == (w_minus, w_plus)
+    fr = crossing_number(OperatorFamily.affine_homotopy(sm, sp))
+    assert [c.contribution for c in fr.crossings] == [-2, 1]
+    assert fr.index == w_plus - w_minus
+
+
+@pytest.mark.parametrize("minus, plus", [
+    ((2.784440717321698, [[0.33945611204346493, -0.14411902850160363],
+                          [0.7087260394484522, -0.750481381913407]],
+      [[0.727055925104725, 0.24491670062877624],
+       [-1.1012970441673573, -0.4022414112688836]]),
+     (2.2539271736866935, [[-0.5183274755057914, 0.2281613552209225],
+                           [-0.09721457173713888, 0.34528773533105506]],
+      [[-0.3085510003104942, -1.0699664019137403],
+       [0.5176797701443447, 0.5593087171233366]])),
+    ((2.3404631254746806, [[-0.20672316122787004, 0.6828239821577629],
+                           [0.23018419212906327, 0.516418581233328]],
+      [[-0.1358059228144053, -0.6546270677165354],
+       [0.1310034888380036, -1.046838585349979]]),
+     (2.7931574063910984, [[0.21066303859530366, 0.41294038413659817],
+                           [-0.2327584509922106, 0.7531168390318452]],
+      [[0.9434906911732746, 0.6681203929770285],
+       [-0.7328671011552779, -0.07986959105511793]])),
+    ((2.1132306983047733, [[-0.751046989088046, 0.14957735960187768],
+                           [0.6041956661733423, -0.6984270641400689]],
+      [[0.840571356771503, 1.1599470471586575],
+       [-0.358256742546612, -0.7226535198296332]]),
+     (2.709948051014937, [[0.5348694856894047, 0.5135085714487342],
+                          [0.6322085084895044, -0.15415501120954855]],
+      [[0.10593390148901749, 1.1327979583640253],
+       [-0.9764754579727479, 0.17839428896673537]])),
+], ids=["index_flow_seed24_pair1_01", "index_flow_seed42_pair1_01",
+        "index_flow_seed56_pair1_02"])
+def test_missed_crossing_pairs(minus, plus):
+    # seeded benchmark pairs whose scan once missed a crossing sharing a
+    # scan bracket with another one
+    sm, sp = exp_pair(minus, plus)
+    exact = exact_winding(sp) - exact_winding(sm)
+    assert exact == axis_winding(sp) - axis_winding(sm)
+    assert fredholm_index(sm, sp) == exact
+
+
+def test_unreconciled_audit_exits_numerical(tmp_path, monkeypatch):
+    # a bracket resample that finds nothing leaves the audit mismatch in
+    # place: the index command refuses instead of printing a wrong integer
+    monkeypatch.setattr(flow, "_resample_bracket", lambda *args: [])
+    limits = [{"n": 2, "eta": 1.5,
+               "kernel": {"family": "exponential", "a": a, "M": M},
+               "shifts": [{"xi": 0.0, "A": A}]} for a, M, A in SEED10_PAIR]
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({"s_minus": limits[0], "s_plus": limits[1]}))
+    rc = run(["index", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["kind"] == "numerical"
+    assert not (tmp_path / "result.json").exists()
