@@ -74,11 +74,13 @@ class CharEval:
 
 
 def _cauchy_derivatives(symbol, nu, radius, orders, points=64):
-    """d', d'' by contour integration of d over a small circle."""
+    """d, d', d'' at nu by contour integration of d over a small circle."""
     theta = 2 * np.pi * np.arange(points) / points
     z = nu + radius * np.exp(1j * theta)
     dz = det_values(symbol, z)
     out = {}
+    if 0 in orders:
+        out[0] = np.mean(dz)
     if 1 in orders:
         out[1] = np.mean(dz * np.exp(-1j * theta)) / radius
     if 2 in orders:

@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +62,18 @@ def _write_csv(outdir, name, header, rows):
     return str(outdir / name)
 
 
-def specmap(minus_at, plus_at, re_vals, im_vals, jobs=1, scan_points=200):
+def specmap(minus_at, plus_at, re_vals, im_vals, scan_points):
     """Fredholm-index map over a rectangle of spectral parameters.
 
     For each lambda on the grid both limit symbols are tested for
     hyperbolicity; where both pass, the index of the pair is computed:
     exactly as W(s_plus) - W(s_minus) when both limits are rational
-    (`rational.axis_winding`), by spectral flow otherwise.
+    (`rational.axis_winding`), by spectral flow otherwise.  Nodes run
+    serially: a thread pool was measured slower than one thread.
     Returns (records, borders): records hold per-point results, borders
     the essential-spectrum boundary points localized by bisection along
     grid edges where hyperbolicity flips.
     """
-    grid = [complex(re, im) for im in im_vals for re in re_vals]
-
     def evaluate(lam):
         sm, sp = minus_at(lam), plus_at(lam)
         hm = is_hyperbolic(sm)
@@ -94,12 +92,7 @@ def specmap(minus_at, plus_at, re_vals, im_vals, jobs=1, scan_points=200):
         return {"lambda": lam, "hyp_minus": hm.hyperbolic,
                 "hyp_plus": hp.hyperbolic, "index": idx, "note": note}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            records = list(ex.map(evaluate, grid))
-    else:
-        records = [evaluate(lam) for lam in grid]
-
+    records = [evaluate(complex(re, im)) for im in im_vals for re in re_vals]
     borders = []
     nr, ni = len(re_vals), len(im_vals)
     flat = {(i, j): records[j * nr + i] for j in range(ni) for i in range(nr)}
@@ -111,9 +104,9 @@ def specmap(minus_at, plus_at, re_vals, im_vals, jobs=1, scan_points=200):
         return (is_hyperbolic(minus_at(lam)).hyperbolic
                 and is_hyperbolic(plus_at(lam)).hyperbolic)
 
-    def bisect(lam_a, lam_b):
-        # lam_a only moves to midpoints that share its hyperbolicity
-        good_a = both_hyperbolic(lam_a)
+    def bisect(here, lam_b):
+        # lam_a only moves to midpoints that share the start node's flag
+        lam_a, good_a = here["lambda"], hyp(here)
         for _ in range(48):
             mid = 0.5 * (lam_a + lam_b)
             if both_hyperbolic(mid) == good_a:
@@ -131,7 +124,7 @@ def specmap(minus_at, plus_at, re_vals, im_vals, jobs=1, scan_points=200):
                 if i + di < nr and j + dj < ni:
                     there = flat[(i + di, j + dj)]
                     if hyp(here) != hyp(there):
-                        borders.append(bisect(here["lambda"], there["lambda"]))
+                        borders.append(bisect(here, there["lambda"]))
     return records, borders
 
 
@@ -184,9 +177,18 @@ def _cmd_index(args, outdir):
     return 0
 
 
-def _parse_range(text):
-    lo, hi, num = text.split(":")
-    return np.linspace(float(lo), float(hi), int(num))
+def _parse_range(option, text):
+    """LO:HI:N as N evenly spaced values, else a ConfigurationError."""
+    try:
+        lo, hi, num = text.split(":")
+        lo, hi, num = float(lo), float(hi), int(num)
+        ok = np.isfinite(lo) and np.isfinite(hi) and num >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"{option} must be LO:HI:N with finite LO, "
+                                 f"HI and an integer N >= 1, got {text!r}")
+    return np.linspace(lo, hi, num)
 
 
 def _cmd_specmap(args, outdir):
@@ -196,10 +198,9 @@ def _cmd_specmap(args, outdir):
         raise ConfigurationError("specmap config needs a 'limits' object")
     minus_at = configio.pencil_from_json(limits.get("minus"), "limits.minus")
     plus_at = configio.pencil_from_json(limits.get("plus"), "limits.plus")
-    re_vals = _parse_range(args.re)
-    im_vals = _parse_range(args.im)
-    records, borders = specmap(minus_at, plus_at, re_vals, im_vals,
-                               jobs=args.jobs, scan_points=args.scan)
+    re_vals = _parse_range("--re", args.re)
+    im_vals = _parse_range("--im", args.im)
+    records, borders = specmap(minus_at, plus_at, re_vals, im_vals, args.scan)
     _write_csv(outdir, "specmap.csv",
                ["re_lambda", "im_lambda", "hyp_minus", "hyp_plus", "index"],
                [(r["lambda"].real, r["lambda"].imag,
@@ -291,7 +292,6 @@ def _build_parser():
     sp = sub.add_parser("specmap", help="index map over spectral parameters")
     common(sp)
     scan(sp)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--re", required=True, metavar="LO:HI:N")
     sp.add_argument("--im", required=True, metavar="LO:HI:N")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .charmatrix import axis_cutoff, char_eval, delta_eval
+from .charmatrix import _cauchy_derivatives, axis_cutoff, char_eval, delta_eval
 from .errors import CompatibilityViolated, GenericityViolated, RankMismatch
 from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
                        newton_solve)
@@ -85,16 +85,6 @@ class EdgeModel:
         return Symbol(self.n, kernel, (ShiftTerm(0.0, self.zero_shift(lam)),),
                       self.eta)
 
-    def khat_p(self, nu, order=0):
-        """Transform of the full unperturbed kernel, paper convention."""
-        nu = np.asarray(nu, dtype=complex)
-        out = np.zeros(nu.shape + (self.n, self.n), dtype=complex)
-        if self.kernel is not None:
-            out = out + self.kernel.transform(nu, order)
-        if self.dirac is not None and order == 0:
-            out = out + self.dirac
-        return out
-
     def pert_transform0(self):
         if self.P is not None:
             return self.P.astype(complex)
@@ -118,9 +108,14 @@ def _adjugate(A):
     return adj
 
 
-def _dispersion(model, nu, lam):
-    return complex(np.linalg.det(
-        nu * np.eye(model.n) + model.khat_p(np.asarray(nu))[()] - lam * model.B))
+def _jet_at_origin(model):
+    """Re Delta(0), Re Delta'(0), Re Delta''(0) of the symbol at lambda = 0.
+
+    In the paper's convention these are K_hat(0) (Dirac part included),
+    I + K_hat'(0) and K_hat''(0).
+    """
+    sym0 = model.symbol_at(0.0)
+    return [np.real(delta_eval(sym0, 0.0, order)) for order in range(3)]
 
 
 @dataclass
@@ -142,19 +137,11 @@ def diffusive_check(model):
     it stays exact at the singular matrix.  Condition three scans the
     axis away from a 1e-3 neighborhood of zero.  Reporting only.
     """
-    radius = min(0.25, 0.5 * model.eta)
-    k = 64
-    theta = 2 * np.pi * np.arange(k) / k
-    z = radius * np.exp(1j * theta)
-    dz = np.array([_dispersion(model, zz, 0.0) for zz in z])
-    d00 = np.mean(dz)
-    d_nu = np.mean(dz * np.exp(-1j * theta)) / radius
-    d_nunu = 2.0 * np.mean(dz * np.exp(-2j * theta)) / radius ** 2
-
-    Delta0 = model.khat_p(np.array(0.0 + 0j))[()] + 0.0 * np.eye(model.n)
-    d_lambda = complex(-np.trace(_adjugate(Delta0) @ model.B))
-
     sym0 = model.symbol_at(0.0)
+    d = _cauchy_derivatives(sym0, 0.0, min(0.25, 0.5 * model.eta), (0, 1, 2))
+    d00, d_nu, d_nunu = d[0], d[1], d[2]
+    d_lambda = complex(-np.trace(_adjugate(delta_eval(sym0, 0.0)) @ model.B))
+
     cap = axis_cutoff(sym0)
     ells = np.concatenate([np.linspace(1e-3, cap, 2001),
                            -np.linspace(1e-3, cap, 2001)])
@@ -200,17 +187,15 @@ def edge_vectors(model):
     if not rep.diffusive:
         raise CompatibilityViolated(
             "dispersion is not diffusive: " + "; ".join(rep.failures))
-    K0 = np.real(model.khat_p(np.array(0.0 + 0j))[()])
-    K1 = np.real(model.khat_p(np.array(0.0 + 0j), 1)[()])
-    K2 = np.real(model.khat_p(np.array(0.0 + 0j), 2)[()])
+    D0, D1, D2 = _jet_at_origin(model)
     n = model.n
     if n == 1:
-        if abs(K0[0, 0]) > 1e-10:
+        if abs(D0[0, 0]) > 1e-10:
             raise RankMismatch("scalar K_hat(0) does not vanish")
         e0 = np.array([1.0])
         e0s = np.array([1.0])
     else:
-        U, svals, Vh = np.linalg.svd(K0)
+        U, svals, Vh = np.linalg.svd(D0)
         if svals[-2] < _RANK_GAP * max(svals[-1], 1e-300):
             raise RankMismatch(
                 f"kernel of K_hat(0) is not cleanly one-dimensional "
@@ -222,19 +207,18 @@ def edge_vectors(model):
         if e0s[np.argmax(np.abs(e0s))] < 0:
             e0s = -e0s
 
-    I = np.eye(n)
-    c1 = float(e0s @ ((I + K1) @ e0))
+    c1 = float(e0s @ (D1 @ e0))
     if abs(c1) > 1e-10:
         raise CompatibilityViolated(
             f"first compatibility pairing is {c1:.2e}")
-    e1 = np.linalg.lstsq(K0, -(I + K1) @ e0, rcond=None)[0]
-    e1s = np.linalg.lstsq(K0.T, (I + K1.T) @ e0s, rcond=None)[0]
-    lhs = float(e0s @ ((I + K1) @ e1))
-    rhs = -float(e1s @ ((I + K1) @ e0))
+    e1 = np.linalg.lstsq(D0, -D1 @ e0, rcond=None)[0]
+    e1s = np.linalg.lstsq(D0.T, D1.T @ e0s, rcond=None)[0]
+    lhs = float(e0s @ (D1 @ e1))
+    rhs = -float(e1s @ (D1 @ e0))
     if abs(lhs - rhs) > 1e-8 * (1 + abs(lhs)):
         raise CompatibilityViolated(
             f"corrector identity violated: {lhs:.3e} vs {rhs:.3e}")
-    nondeg = lhs + 0.5 * float(e0s @ (K2 @ e0))
+    nondeg = lhs + 0.5 * float(e0s @ (D2 @ e0))
     if abs(nondeg) < 1e-10:
         raise CompatibilityViolated("nondegeneracy pairing vanishes")
     d_l = float(np.real(rep.d_lambda))
@@ -253,10 +237,8 @@ def edge_constant(model, data=None):
     the perturbation is non-generic.
     """
     data = data or edge_vectors(model)
-    K1 = np.real(model.khat_p(np.array(0.0 + 0j), 1)[()])
-    K2 = np.real(model.khat_p(np.array(0.0 + 0j), 2)[()])
-    I = np.eye(model.n)
-    denom = float(data.e0_star @ ((2.0 * (I + K1)) @ data.e1 + K2 @ data.e0))
+    _, D1, D2 = _jet_at_origin(model)
+    denom = float(data.e0_star @ ((2.0 * D1) @ data.e1 + D2 @ data.e0))
     if abs(denom) < 1e-10:
         raise GenericityViolated("corrector pairing vanishes")
     P0 = np.real(model.pert_transform0())

@@ -63,10 +63,9 @@ class FlowResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _margin_curve(family, scan_points):
-    rhos = np.linspace(family.rho_min, family.rho_max, scan_points)
-    vals = np.array([axis_margin(family.at(r))[0] for r in rhos])
-    return rhos, vals
+def _margins(family, rhos):
+    """Axis margin of the family at each rho: the flow's one margin sampler."""
+    return np.array([axis_margin(family.at(r))[0] for r in rhos])
 
 
 def _golden_minimize(f, a, b, tol):
@@ -98,21 +97,21 @@ def _dips(vals, trigger):
     return np.nonzero((c <= lo) & (c <= hi) & (c < 1.5 * slope + trigger))[0] + 1
 
 
-def _sampled_zeros(f, xs, vs, depth):
-    """Zeros of f near the dips of its samples vs at xs, in scan order.
+def _sampled_zeros(family, xs, vs, depth):
+    """Margin zeros near the dips of the margin samples vs at xs, in scan order.
 
     Zeros are resolved to 1e-6; closer ones (ties from symmetric
     sampling) are the same zero.
     """
     found = []
     for k in _dips(vs, _MIN_TRIGGER):
-        for z in _bracket_zeros(f, xs[k - 1], xs[k + 1], depth):
+        for z in _bracket_zeros(family, xs[k - 1], xs[k + 1], depth):
             if not any(abs(z - w) < 2e-6 for w in found):
                 found.append(z)
     return found
 
 
-def _bracket_zeros(f, lo, hi, depth):
+def _bracket_zeros(family, lo, hi, depth):
     """Margin zeros inside a bracket that may hold several local minima.
 
     Golden section assumes a unimodal bracket; a shallow dip next to an
@@ -120,13 +119,14 @@ def _bracket_zeros(f, lo, hi, depth):
     the bracket is re-sampled at finer resolution and each sub-minimum
     is pursued recursively.
     """
-    x, m = _golden_minimize(f, lo, hi, _GOLDEN_TOL)
+    x, m = _golden_minimize(lambda r: _margins(family, (r,))[0], lo, hi,
+                            _GOLDEN_TOL)
     if m < _CROSSING_TOL:
         return [x]
     if depth <= 0:
         return []
     xs = np.linspace(lo, hi, 33)
-    return _sampled_zeros(f, xs, np.array([f(x) for x in xs]), depth - 1)
+    return _sampled_zeros(family, xs, _margins(family, xs), depth - 1)
 
 
 def _axis_roots_at(symbol, cap):
@@ -240,30 +240,26 @@ def find_crossings(family, scan_points=400):
         if not res.hyperbolic:
             raise EndpointNotHyperbolic(f"limit symbol at {name} infinity")
 
-    rhos, vals = _margin_curve(family, scan_points)
+    rhos = np.linspace(family.rho_min, family.rho_max, scan_points)
+    vals = _margins(family, rhos)
     grid_step = rhos[1] - rhos[0]
-    margin_of = lambda r: axis_margin(family.at(r))[0]
-
-    # a zero can hide between a boundary sample and its neighbor; such
-    # crossings sit at the scan boundary and must be rejected loudly
-    for k, nb in ((0, 1), (len(rhos) - 1, len(rhos) - 2)):
-        slope = abs(vals[k] - vals[nb])
-        if vals[k] < vals[nb] and vals[k] < 1.5 * slope + _MIN_TRIGGER:
-            for rho_j in _bracket_zeros(margin_of, min(rhos[k], rhos[nb]),
-                                        max(rhos[k], rhos[nb]), depth=2):
-                raise EndpointNotHyperbolic(
-                    f"crossing at rho = {rho_j:.4g} sits at the scan boundary")
-
-    zeros = _sampled_zeros(margin_of, rhos, vals, depth=2)
+    # padding each end with its neighbour's sample makes an end sample
+    # below its neighbour a dip: a zero can hide between the two, and
+    # the edge check below rejects it loudly
+    zeros = _sampled_zeros(family, np.r_[rhos[0], rhos, rhos[-1]],
+                           np.r_[vals[1], vals, vals[-2]], depth=2)
     edge = 2 * grid_step
     for rho_j in zeros:
         if rho_j < family.rho_min + edge or rho_j > family.rho_max - edge:
             raise EndpointNotHyperbolic(
                 f"crossing at rho = {rho_j:.4g} sits at the scan boundary")
-    crossings = [cr for cr in (_crossing_at(family, rho_j, grid_step)
-                               for rho_j in zeros) if cr is not None]
-    crossings.sort(key=lambda c: c.rho)
-    return crossings
+    return _classified(family, zeros, grid_step)
+
+
+def _classified(family, zeros, step):
+    """Crossings at the given margin zeros, ordered by parameter value."""
+    found = (_crossing_at(family, rho_j, step) for rho_j in zeros)
+    return sorted((cr for cr in found if cr is not None), key=lambda c: c.rho)
 
 
 def _resample_bracket(family, lo, hi):
@@ -274,12 +270,8 @@ def _resample_bracket(family, lo, hi):
     """
     step = (hi - lo) / (_RESAMPLE_POINTS - 1)
     xs = np.linspace(lo - step, hi + step, _RESAMPLE_POINTS + 2)
-    margin_of = lambda r: axis_margin(family.at(r))[0]
-    vals = np.array([margin_of(x) for x in xs])
-    found = [_crossing_at(family, rho_j, step)
-             for rho_j in _sampled_zeros(margin_of, xs, vals, depth=2)
-             if lo <= rho_j < hi]
-    return [cr for cr in found if cr is not None]
+    zeros = _sampled_zeros(family, xs, _margins(family, xs), depth=2)
+    return _classified(family, [z for z in zeros if lo <= z < hi], step)
 
 
 def _audit(family, crossings, scan_points):

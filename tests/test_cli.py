@@ -114,16 +114,40 @@ def test_specmap_small_grid(tmp_path):
         assert by_point[(re, -im)] == idx
 
 
-def test_specmap_jobs_deterministic(tmp_path):
-    outs = []
-    for jobs in (1, 2):
-        out = tmp_path / f"j{jobs}"
-        rc = run(["specmap", "--config", str(CONFIGS / "neuralfield.json"),
-                  "--out", str(out), "--re=1.2:1.8:2", "--im=0.0:0.4:2",
-                  "--jobs", str(jobs), "--scan", "200"])
-        assert rc == 0
-        outs.append((out / "specmap.csv").read_text())
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("bad", ["1:2", "1:2:3:4", "a:1:3", "0:1:x", "0:1:0"])
+def test_specmap_malformed_range_exit_code(tmp_path, bad):
+    rc = run(["specmap", "--config", str(CONFIGS / "neuralfield.json"),
+              "--out", str(tmp_path), f"--re={bad}", "--im=0:0:1"])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration" and "--re" in err["error"]
+
+
+def test_specmap_evaluates_each_node_once():
+    # the border bisection takes its start flag from the node's record:
+    # outside the bisection midpoints each node's lambda reaches each
+    # limit pencil exactly once
+    from specflow.cli import specmap
+    from specflow.kernels import exponential_kernel
+    from specflow.symbols import ShiftTerm, Symbol
+
+    calls = {"minus": [], "plus": []}
+
+    def pencil(name, a):
+        def at(lam):
+            calls[name].append(lam)
+            return Symbol(1, exponential_kernel(2.0, [[1.0]]),
+                          (ShiftTerm(0.0, [[a + lam]]),), 1.9)
+        return at
+
+    # the minus limit has an axis root at lambda = -0.7 exactly
+    records, borders = specmap(pencil("minus", -0.3), pencil("plus", 0.5),
+                               [-0.9, -0.7], [0.0], 200)
+    assert [r["hyp_minus"] for r in records] == [True, False]
+    assert len(borders) == 1 and abs(borders[0] + 0.7) < 1e-6
+    nodes = [r["lambda"] for r in records]
+    for name in ("minus", "plus"):
+        assert [calls[name].count(lam) for lam in nodes] == [1, 1]
 
 
 def test_missing_config_exit_code(tmp_path):
@@ -197,6 +221,19 @@ def test_numerical_failure_exit_code(tmp_path):
     assert (tmp_path / "error.json").exists()
 
 
+def test_right_end_crossing_exit_code(tmp_path):
+    # the crossing at rho = 0 sits in the last scan bracket
+    cfg = {"path": {"type": "rule", "n": 1, "eta": 2.0,
+                    "rho_min": -10.0, "rho_max": 0.001,
+                    "shift_matrix_exprs": [["tanh(rho)"]]}}
+    bad = tmp_path / "right_end.json"
+    bad.write_text(json.dumps(cfg))
+    rc = run(["flow", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration" and "scan boundary" in err["error"]
+
+
 def test_specmap_border_jump_matches_crossing_multiplicity(tmp_path):
     # scalar pencil: both limits are shifted copies of the same kernel
     # symbol, with the spectral parameter entering the zero-shift term.
@@ -252,6 +289,14 @@ def test_unread_options_rejected(tmp_path, command, option):
     with pytest.raises(SystemExit) as exc:
         run(command[:1] + ["--config", "unused.json", "--out", str(tmp_path)]
             + command[1:] + option)
+    assert exc.value.code == 2
+
+
+def test_specmap_rejects_jobs(tmp_path):
+    # specmap runs serially and has no --jobs option
+    with pytest.raises(SystemExit) as exc:
+        run(["specmap", "--config", "unused.json", "--out", str(tmp_path),
+             "--re=0:1:2", "--im=0:0:1", "--jobs", "2"])
     assert exc.value.code == 2
 
 
