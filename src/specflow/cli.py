@@ -133,7 +133,7 @@ def specmap(minus_at, plus_at, re_vals, im_vals, scan_points):
 def _cmd_roots(args, outdir):
     cfg = configio.load_config(args.config)
     sym = configio.symbol_from_json(cfg)
-    box = Rectangle(*map(float, args.box))
+    box = Rectangle(*_parse_floats("--box", args.box, 4))
     rs = locate_roots(sym, box)
     rows = [(nu.real, nu.imag, m) for nu, m in rs.roots]
     _write_csv(outdir, "roots.csv", ["re", "im", "mult"], rows)
@@ -175,6 +175,23 @@ def _cmd_index(args, outdir):
         idx = crossing_number(fam, scan_points=args.scan).index
     _write_json(outdir, "result.json", {"index": idx})
     return 0
+
+
+def _parse_floats(option, items, count=None):
+    """Finite floats from the strings `items`, `count` of them when given.
+
+    Anything else raises a ConfigurationError naming the option.
+    """
+    try:
+        vals = [float(v) for v in items]
+        ok = all(np.isfinite(vals)) and count in (None, len(vals))
+    except ValueError:
+        ok = False
+    if not ok:
+        need = "" if count is None else f"{count} "
+        raise ConfigurationError(f"{option} takes {need}finite number(s), "
+                                 f"got {' '.join(items)!r}")
+    return vals
 
 
 def _parse_range(option, text):
@@ -219,7 +236,10 @@ def _cmd_specmap(args, outdir):
 def _cmd_shock(args, outdir):
     cfg = configio.load_config(args.config)
     model = configio.shock_model_from_json(cfg)
-    eps = float(args.eps[0]) if args.eps else float(cfg.get("eps", 1e-3))
+    eps = (_parse_floats("--eps", args.eps, 1)[0] if args.eps
+           else float(cfg.get("eps", 1e-3)))
+    b = (np.array(_parse_floats("--b", args.b.split(","), model.n))
+         if args.b else np.zeros(model.n))
     speeds, _ = characteristic_speeds(model)
     zero_speed = bool(np.min(np.abs(speeds)) < 1e-8)
     payload = {"speeds": speeds.tolist(), "eps": eps}
@@ -229,8 +249,6 @@ def _cmd_shock(args, outdir):
                         "a": sol.a.tolist(), "b": sol.b.tolist(),
                         "residual": sol.residual})
     else:
-        b = (np.array([float(v) for v in args.b.split(",")])
-             if args.b else np.zeros(model.n))
         sol = shock_profile(model, b, eps)
         payload.update({
             "a": sol.a.tolist(), "b": sol.b.tolist(),
@@ -248,7 +266,7 @@ def _cmd_shock(args, outdir):
 def _cmd_edge(args, outdir):
     cfg = configio.load_config(args.config)
     model = configio.edge_model_from_json(cfg)
-    eps_list = ([float(v) for v in args.eps[0].split(",")]
+    eps_list = (_parse_floats("--eps", args.eps[0].split(","))
                 if args.eps else list(cfg.get("eps", [0.04, 0.02, 0.01])))
     sc = edge_scaling(model, eps_list)
     _write_csv(outdir, "scaling.csv", ["eps", "lambda_star", "ratio"],

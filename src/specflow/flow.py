@@ -19,8 +19,9 @@ import numpy as np
 
 from .charmatrix import (_sigma_min_axis, axis_cutoff, axis_margin, char_eval,
                          is_hyperbolic)
-from .errors import (ContourThroughRoot, CrossingsUnresolved,
-                     EndpointNotHyperbolic, InconclusiveCount)
+from .errors import (ConfigurationError, ContourThroughRoot,
+                     CrossingsUnresolved, EndpointNotHyperbolic,
+                     InconclusiveCount)
 from .rational import axis_winding
 from .roots import Rectangle, _rho_derivative, count_roots, locate_roots
 from .symbols import OperatorFamily, weight_shift
@@ -233,8 +234,12 @@ def find_crossings(family, scan_points=400):
     The hyperbolicity margin is sampled on a uniform grid; local minima
     below the trigger threshold are refined by golden-section and kept
     when the refined margin certifies a loss of hyperbolicity.  Requires
-    hyperbolic limits; crossings at the scan boundary are rejected.
+    hyperbolic limits and at least 2 scan points; crossings at the scan
+    boundary are rejected.
     """
+    if scan_points < 2:
+        raise ConfigurationError(
+            f"a crossing scan needs at least 2 points, got {scan_points}")
     for name, sym in (("minus", family.s_minus), ("plus", family.s_plus)):
         res = is_hyperbolic(sym)
         if not res.hyperbolic:
@@ -350,7 +355,8 @@ def fredholm_index(s_minus, s_plus, scan_points=400):
     certified hyperbolic once, by `find_crossings`.
     """
     if s_minus.n != s_plus.n:
-        raise ValueError("limit symbols must share dimension")
+        raise ConfigurationError(
+            f"limit symbols must share dimension, got {s_minus.n} and {s_plus.n}")
     fam = OperatorFamily.affine_homotopy(s_minus, s_plus)
     return crossing_number(fam, scan_points).index
 

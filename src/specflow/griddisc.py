@@ -6,6 +6,9 @@ differences (one-sided at the boundary rows), trapezoid quadrature for
 the convolution, and linear interpolation for off-grid shift targets.
 Exponential weights enter as an exact diagonal conjugation with the
 smooth profile exp(w(xi)), w'(xi) -> gamma_[-,+] as xi -> -+infinity.
+One row rule builds every matrix: `_fill` subtracts each node's
+convolution row (`_conv_row`) and shifts, and the constant symbol, the
+xi-dependent operator and its adjoint only supply their row data.
 
 The same discretization kit serves the two Newton applications: the
 trapezoid-plus-kink convolution matrix, the difference matrices, the
@@ -128,41 +131,57 @@ def fd4_matrix(m, h):
     return D
 
 
+def _part(dtype):
+    """Real parts for a float matrix, the values as they are otherwise."""
+    return np.real if dtype is float else np.asarray
+
+
+def _edge_data(kernel, part):
+    """(K(0-), K(0+), j0, j1): one-sided values and kink jumps at zeta = 0."""
+    j0, j1 = kernel.kink_jumps()
+    return tuple(part(v) for v in (kernel.value_one_sided(-1),
+                                   kernel.value_one_sided(+1), j0, j1))
+
+
+def _conv_row(i, vals, edge, w_quad, h):
+    """Block row i of the trapezoid convolution matrix, shape (n, m n).
+
+    `vals[j]` is the kernel at xi_i - xi_j and `edge` its `_edge_data`;
+    unknowns are node-major with n components.  The kernel kink at
+    zeta = 0 is Euler-Maclaurin corrected: the true integral is the
+    trapezoid sum plus (h^2/12) times the jump of the integrand
+    derivative, which couples to U(xi_i) and, by centred differences, to
+    U'(xi_i).  On the corner rows the kink sits on the window edge: the
+    diagonal takes the one-sided kernel branch and no jump correction.
+    """
+    k_minus, k_plus, j0, j1 = edge
+    m, n = vals.shape[:2]
+    blk = vals * w_quad[:, None, None]
+    cc = h * h / 12.0
+    if i == 0:
+        blk[0] = k_minus * w_quad[0]
+    elif i == m - 1:
+        blk[-1] = k_plus * w_quad[-1]
+    else:
+        blk[i] += cc * j1
+        blk[i - 1] -= cc * j0 * (-0.5 / h)
+        blk[i + 1] -= cc * j0 * (0.5 / h)
+    return blk.transpose(1, 0, 2).reshape(n, m * n)
+
+
 def conv_matrix(kernel, m, n, h, dtype=complex):
     """Trapezoid convolution matrix on m nodes of spacing h.
 
-    With dtype float only the real parts of the kernel data enter.
-    Entry block (i, j) approximates the weight of U(xi_j) in
-    (K * U)(xi_i); unknowns are node-major with n components.  The
-    kernel kink at zeta = 0 is Euler-Maclaurin corrected: the true
-    integral is the trapezoid sum plus (h^2/12) times the jump of the
-    integrand derivative, which couples to U(xi_i) and U'(xi_i).  At the
-    corner rows the kink sits on the window edge: the entry takes the
-    one-sided kernel branch and no jump correction.
+    Block row i is `_conv_row`; with dtype float only the real parts of
+    the kernel data enter.
     """
-    vals = kernel.value(h * np.arange(-(m - 1), m))
-    j0, j1 = kernel.kink_jumps()
-    vm = kernel.value_one_sided(-1)
-    vp = kernel.value_one_sided(+1)
-    if dtype is float:
-        vals, j0, j1, vm, vp = vals.real, j0.real, j1.real, vm.real, vp.real
-    idx = np.arange(m)
-    off = idx[:, None] - idx[None, :] + (m - 1)
+    part = _part(dtype)
+    table = part(kernel.value(h * np.arange(-(m - 1), m)))
+    edge = _edge_data(kernel, part)
     w_quad = trapezoid_weights(m, h)
-    cc = h * h / 12.0
-    D = centred_d1(m, h)
-    eye = np.eye(m)
-    eye[0, 0] = eye[-1, -1] = 0.0
     C = np.empty((m * n, m * n), dtype=dtype)
-    for a in range(n):
-        for b in range(n):
-            blk = C[a::n, b::n]     # filled in place to bound peak memory
-            blk[...] = vals[off, a, b]
-            blk *= w_quad[None, :]
-            blk[0, 0] = vm[a, b] * w_quad[0]
-            blk[-1, -1] = vp[a, b] * w_quad[-1]
-            blk += cc * j1[a, b] * eye
-            blk -= cc * j0[a, b] * D
+    for i in range(m):
+        C[i * n:(i + 1) * n] = _conv_row(i, table[i:i + m][::-1], edge, w_quad, h)
     return C
 
 
@@ -201,6 +220,54 @@ def _check_resolution(symbol, grid):
                 f"kernel mass beyond |xi| = L is {tail / total:.2e} of the total")
 
 
+def _fill(M, nodes, h, row):
+    """Subtract every node's convolution row and shifts from M in place.
+
+    `row(i)` returns (kernel values at xi_i - xi_j or None, `_edge_data`,
+    [(offset, matrix), ...]).  A shift at offset 0 lands on the diagonal;
+    any other target xi_i - offset is linearly interpolated.
+    """
+    m = len(nodes)
+    n = M.shape[0] // m
+    w_quad = trapezoid_weights(m, h)
+    for i in range(m):
+        vals, edge, shifts = row(i)
+        r = slice(i * n, (i + 1) * n)
+        if vals is not None:
+            M[r] -= _conv_row(i, vals, edge, w_quad, h)
+        for xi, A in shifts:
+            if xi == 0.0:
+                M[r, r] -= A
+            else:
+                for col, wgt in _interp_row(nodes[i] - xi, nodes, h):
+                    M[r, col * n:(col + 1) * n] -= wgt * A
+
+
+def _assembled(grid, n, dtype, row, weights):
+    """GridOperator of D_W M D_W^{-1}, M the derivative blocks minus `row`."""
+    m = grid.size
+    M = np.zeros((m * n, m * n), dtype=dtype)
+    D = _derivative_matrix(m, grid.h)
+    for a in range(n):
+        M[a::n, a::n] += D
+    _fill(M, grid.nodes, grid.h, row)
+    wexp = weight_exponent(grid.nodes, *weights)
+    wexp = wexp - wexp.max()  # normalize so the conjugation stays bounded
+    W = np.exp(np.repeat(wexp, n))
+    M *= W[:, None]
+    M *= (1.0 / W)[None, :]
+    return GridOperator(matrix=M, grid=grid, n=n, weights=tuple(weights),
+                        weight_vector=W)
+
+
+def _symbol_row(sym, zeta, part):
+    """`_fill` row data of one symbol, its kernel taken at the offsets zeta."""
+    shifts = [(s.xi, part(s.A)) for s in sym.shifts]
+    if sym.kernel is None:
+        return None, None, shifts
+    return part(sym.kernel.value(zeta)), _edge_data(sym.kernel, part), shifts
+
+
 def assemble(operator, grid, weights=(0.0, 0.0)):
     """Assemble the dense matrix of the operator on the grid.
 
@@ -209,103 +276,31 @@ def assemble(operator, grid, weights=(0.0, 0.0)):
     """
     at, const = _as_symbol_map(operator)
     s0 = const if const is not None else at(0.0)
-    n = s0.n
     _check_resolution(s0, grid)
-    gm, gp = weights
-
+    dtype = float if s0.is_real() else complex
+    part = _part(dtype)
     nodes = grid.nodes
     m = len(nodes)
-    h = grid.h
-
-    real_ok = s0.is_real()
-    dtype = float if real_ok else complex
-    M = np.zeros((m * n, m * n), dtype=dtype)
-
-    # derivative part
-    D = _derivative_matrix(m, h)
-    for a in range(n):
-        M[a::n, a::n] += D
-
-    if const is not None:
-        _fill_constant(M, const, nodes, h, dtype)
+    if const is None:
+        def row(i):
+            return _symbol_row(at(nodes[i]), nodes[i] - nodes, part)
     else:
-        _fill_varying(M, at, nodes, h, dtype)
-    return _conjugated(M, grid, n, gm, gp)
+        # one kernel table on the node offsets, indexed per row
+        table, edge, shifts = _symbol_row(const, grid.h * np.arange(-(m - 1), m), part)
 
-
-def _conjugated(M, grid, n, gm, gp):
-    """GridOperator of D_W M D_W^{-1}, conjugating M in place."""
-    wexp = weight_exponent(grid.nodes, gm, gp)
-    wexp = wexp - wexp.max()  # normalize so the conjugation stays bounded
-    W = np.exp(np.repeat(wexp, n))
-    M *= W[:, None]
-    M *= (1.0 / W)[None, :]
-    return GridOperator(matrix=M, grid=grid, n=n, weights=(gm, gp),
-                        weight_vector=W)
-
-
-def _fill_constant(M, symbol, nodes, h, dtype):
-    m = len(nodes)
-    n = symbol.n
-    if symbol.kernel is not None:
-        M -= conv_matrix(symbol.kernel, m, n, h, dtype)
-    for s in symbol.shifts:
-        A = s.A.real if dtype is float else s.A
-        if s.xi == 0.0:
-            for a in range(n):
-                for b in range(n):
-                    if A[a, b] != 0:
-                        M[a::n, b::n] -= A[a, b] * np.eye(m)
-            continue
-        for i in range(m):
-            for col, wgt in _interp_row(nodes[i] - s.xi, nodes, h):
-                M[i * n:(i + 1) * n, col * n:(col + 1) * n] -= wgt * A
-
-
-def _fill_varying(M, at, nodes, h, dtype):
-    m = len(nodes)
-    w_quad = trapezoid_weights(m, h)
-    D = centred_d1(m, h)
-    c = h * h / 12.0
-    for i in range(m):
-        sym = at(nodes[i])
-        n = sym.n
-        if sym.kernel is not None:
-            vals = sym.kernel.value(nodes[i] - nodes)
-            if dtype is float:
-                vals = vals.real
-            if i == 0:
-                corner = sym.kernel.value_one_sided(-1)
-                vals[0] = corner.real if dtype is float else corner
-            elif i == m - 1:
-                corner = sym.kernel.value_one_sided(+1)
-                vals[-1] = corner.real if dtype is float else corner
-            row = -(w_quad[:, None, None] * vals)
-            M[i * n:(i + 1) * n, :] += row.transpose(1, 0, 2).reshape(n, m * n)
-            if 0 < i < m - 1:
-                j0, j1 = sym.kernel.kink_jumps()
-                if dtype is float:
-                    j0, j1 = j0.real, j1.real
-                if np.any(j0) or np.any(j1):
-                    M[i * n:(i + 1) * n, i * n:(i + 1) * n] -= c * j1
-                    for mcol in np.nonzero(D[i])[0]:
-                        M[i * n:(i + 1) * n, mcol * n:(mcol + 1) * n] += c * D[i, mcol] * j0
-        for s in sym.shifts:
-            A = s.A.real if dtype is float else s.A
-            if s.xi == 0.0:
-                M[i * n:(i + 1) * n, i * n:(i + 1) * n] -= A
-            else:
-                for col, wgt in _interp_row(nodes[i] - s.xi, nodes, h):
-                    M[i * n:(i + 1) * n, col * n:(col + 1) * n] -= wgt * A
+        def row(i):
+            return (None if table is None else table[i:i + m][::-1]), edge, shifts
+    return _assembled(grid, s0.n, dtype, row, weights)
 
 
 def assemble_adjoint(operator, grid, weights=(0.0, 0.0)):
     """Assemble the formal adjoint operator with the given weights.
 
     For a constant symbol this is the adjoint symbol assembled normally.
-    For xi-dependent operators the adjoint kernel samples the original
-    family at the column base point, which the direct evaluation rule
-    below accounts for.
+    For a xi-dependent operator the forward row rule gets adjoint row
+    data: row i has the kernel values -K(xi_j - xi_i; xi_j)^H, which
+    sample the family at the column base point, the kink and corner data
+    of the adjoint of K(.; xi_i), and the shifts (-xi_s, -A_s(xi_i + xi_s)^H).
     """
     at, const = _as_symbol_map(operator)
     if const is not None:
@@ -313,62 +308,25 @@ def assemble_adjoint(operator, grid, weights=(0.0, 0.0)):
     s0 = at(0.0)
     n = s0.n
     _check_resolution(s0, grid)
-    gm, gp = weights
-
     nodes = grid.nodes
     m = len(nodes)
-    h = grid.h
-    w_quad = trapezoid_weights(m, h)
-    M = np.zeros((m * n, m * n), dtype=complex)
-    D = _derivative_matrix(m, h)
-    for a in range(n):
-        M[a::n, a::n] += D
+    syms = [at(x) for x in nodes]
+    fwd = np.zeros((m, m, n, n), dtype=complex)   # fwd[j, i] = K(xi_j - xi_i; xi_j)
+    for j, sym in enumerate(syms):
+        if sym.kernel is not None:
+            fwd[j] = sym.kernel.value(nodes[j] - nodes)
+    no_edge = (np.zeros((n, n)),) * 4
 
-    # adjoint convolution: entry (i, mcol) = + K(xi_m - xi_i; xi_m)^H w_m
-    cols = []
-    for mcol in range(m):
-        sym = at(nodes[mcol])
-        if sym.kernel is None:
-            cols.append(None)
-            continue
-        vals = sym.kernel.value(nodes[mcol] - nodes)   # (m, n, n), rows i
-        cols.append(np.conj(np.swapaxes(vals, 1, 2)) * w_quad[mcol])
-    for mcol in range(m):
-        if cols[mcol] is None:
-            continue
-        block = cols[mcol]                              # (m, n, n) over rows
-        M[:, mcol * n:(mcol + 1) * n] += block.reshape(m * n, n)
-    # kink handling of the adjoint convolution rows (integrand kink at
-    # the diagonal): corner rows take the one-sided branch, interior
-    # rows the Euler-Maclaurin term with conjugated jumps
-    c = h * h / 12.0
-    for i in range(m):
-        sym = at(nodes[i])
-        if sym.kernel is None:
-            continue
-        if i == 0 or i == m - 1:
-            side = +1 if i == 0 else -1
-            vf = np.conj(sym.kernel.value_one_sided(side).T) * w_quad[i]
-            va = np.conj(sym.kernel.value(np.zeros(1))[0].T) * w_quad[i]
-            M[i * n:(i + 1) * n, i * n:(i + 1) * n] += vf - va
-            continue
-        j0, j1 = sym.kernel.kink_jumps()
-        if np.any(j0) or np.any(j1):
-            M[i * n:(i + 1) * n, i * n:(i + 1) * n] += c * np.conj(j1.T)
-            for mcol in np.nonzero(D[i])[0]:
-                M[i * n:(i + 1) * n, mcol * n:(mcol + 1) * n] += (
-                    c * D[i, mcol] * np.conj(j0.T))
-
-    # adjoint shifts: row i gains +A_j(xi_i + xi_j)^H at target xi_i + xi_j
-    shifts0 = at(nodes[0]).shifts
-    for j in range(len(shifts0)):
-        xi_j = shifts0[j].xi
-        for i in range(m):
-            target = nodes[i] + xi_j
-            A = at(target).shifts[j].A if (abs(target) <= grid.L) else at(nodes[i]).shifts[j].A
-            for col, wgt in _interp_row(target, nodes, h):
-                M[i * n:(i + 1) * n, col * n:(col + 1) * n] += wgt * np.conj(A.T)
-    return _conjugated(M, grid, n, gm, gp)
+    def row(i):
+        sym = syms[i]
+        edge = no_edge if sym.kernel is None else _edge_data(sym.kernel.adjoint(), np.asarray)
+        shifts = []
+        for k, s in enumerate(sym.shifts):
+            target = nodes[i] + s.xi
+            source = at(target) if abs(target) <= grid.L else sym
+            shifts.append((-s.xi, -source.shifts[k].A.conj().T))
+        return -np.conj(np.swapaxes(fwd[:, i], 1, 2)), edge, shifts
+    return _assembled(grid, n, complex, row, weights)
 
 
 @dataclass

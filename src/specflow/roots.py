@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charmatrix import char_eval, det_values
-from .errors import (ContourThroughRoot, InconclusiveCount, LostTrack,
-                     NotARoot, StripViolation)
+from .errors import (ConfigurationError, ContourThroughRoot,
+                     InconclusiveCount, LostTrack, NotARoot, StripViolation)
 
 __all__ = [
     "Rectangle", "RootSet", "RootTrajectory", "count_roots", "locate_roots",
@@ -45,7 +45,7 @@ class Rectangle:
 
     def __post_init__(self):
         if not (self.re_lo < self.re_hi and self.im_lo < self.im_hi):
-            raise ValueError("rectangle must be nonempty")
+            raise ConfigurationError("rectangle must be nonempty")
 
     @property
     def center(self):

@@ -308,3 +308,100 @@ def test_non_hyperbolic_limit_exit_code(tmp_path):
     rc = run(["index", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert read_json(tmp_path, "error.json")["kind"] == "configuration"
+
+
+def _pair_config(tmp_path):
+    s1 = {"n": 1, "eta": 2.0, "shifts": [{"xi": 0.0, "A": [[-1.0]]}]}
+    s2 = {"n": 2, "eta": 2.0,
+          "shifts": [{"xi": 0.0, "A": [[-1.0, 0.0], [0.0, -1.0]]}]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"s_minus": s1, "s_plus": s2}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--config", "tanh_scalar.json", "--scan", "1"],
+    ["index", "--config", "mult2_pair.json", "--scan", "0"],
+    ["shock", "--config", "shock_scalar.json", "--eps", "abc"],
+    ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "x"],
+    ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "1,2,3"],
+    ["edge", "--config", "schrodinger_well.json", "--eps", "abc"],
+    ["roots", "--config", "symbol", "--box", "1", "0", "0", "1"],
+    ["roots", "--config", "symbol", "--box", "a", "0", "0", "1"],
+    ["index", "--config", "pair"],
+], ids=["flow_scan_1", "index_scan_0", "shock_eps", "shock_b_text",
+        "shock_b_length", "edge_eps", "roots_empty_box", "roots_box_text",
+        "index_mixed_dimension"])
+def test_malformed_numeric_option_exit_code(tmp_path, symbol_config, argv):
+    configs = {"symbol": str(symbol_config), "pair": _pair_config(tmp_path)}
+    argv = [configs.get(a, str(CONFIGS / a) if a.endswith(".json") else a)
+            for a in argv]
+    rc = run(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert read_json(tmp_path / "out", "error.json")["kind"] == "configuration"
+
+
+@pytest.mark.parametrize("kind", ["affine", "tabulated"])
+def test_index_on_path_between_pair_limits(tmp_path, kind):
+    pair = json.loads((CONFIGS / "mult2_pair.json").read_text())
+    if kind == "affine":
+        path = {"type": "affine", "s0": pair["s_minus"], "s1": pair["s_plus"]}
+    else:
+        path = {"type": "tabulated",
+                "points": [{"rho": -1.0, "symbol": pair["s_minus"]},
+                           {"rho": 1.0, "symbol": pair["s_plus"]}]}
+    cfg = tmp_path / "path.json"
+    cfg.write_text(json.dumps({"path": path}))
+    assert run(["index", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path)["index"] == -2
+
+
+def _outputs(tmp_path, name, command, cfg, files, extra=()):
+    """Run a command on the config dict `cfg`; the bytes of its output files."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert run([command, "--config", str(path), "--out", str(out), *extra]) == 0
+    return [(out / f).read_bytes() for f in files]
+
+
+def test_shock_expr_source_and_exp_poly_kernel_match_shipped(tmp_path):
+    # the same model written with an expression source and with the
+    # exponential kernel spelled out as exp_poly terms
+    base = json.loads((CONFIGS / "shock_scalar.json").read_text())
+    files = ("result.json", "profile.csv")
+    expr = dict(base, source={"type": "expr", "exprs": ["exp(-x**2)"]})
+    terms = [{"side": side, "rate": 2.0, "power": 0, "C": [[1.0]]}
+             for side in (1, -1)]
+    exp_poly = dict(base, kernel={"family": "exp_poly", "terms": terms})
+    want = _outputs(tmp_path, "shipped", "shock", base, files)
+    assert _outputs(tmp_path, "expr", "shock", expr, files) == want
+    assert _outputs(tmp_path, "exp_poly", "shock", exp_poly, files) == want
+
+
+def test_edge_expr_potential_matches_shipped(tmp_path):
+    base = json.loads((CONFIGS / "schrodinger_well.json").read_text())
+    expr = json.loads(json.dumps(base))
+    expr["perturbation"]["V"] = {"type": "expr", "expr": "exp(-x**2)"}
+    eps = ("--eps", "0.04,0.02")
+    want = _outputs(tmp_path, "shipped", "edge", base, ["result.json"], eps)
+    assert _outputs(tmp_path, "expr", "edge", expr, ["result.json"], eps) == want
+
+
+def test_specmap_flow_fallback_for_gaussian_kernels(tmp_path):
+    # Gaussian kernels are not rational, so every node's index comes from
+    # the spectral flow instead of the exact axis winding
+    cfg = json.loads((CONFIGS / "neuralfield.json").read_text())
+    for side in ("minus", "plus"):
+        limit = cfg["limits"][side]
+        limit["kernel"] = {"family": "gaussian", "sigma": 1.0,
+                           "M": limit["kernel"]["M"]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(cfg))
+    rc = run(["specmap", "--config", str(path), "--out", str(tmp_path),
+              "--re=-1:1:5", "--im=0:0:1", "--scan", "100"])
+    assert rc == 0
+    with open(tmp_path / "specmap.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["re_lambda"]), r["index"]) for r in rows] == [
+        (-1.0, "0"), (-0.5, "1"), (0.0, "0"), (0.5, "0"), (1.0, "0")]

@@ -90,6 +90,29 @@ def test_index_estimate_matches_flow(grid):
         assert idx2 == -expected
 
 
+def shift_symbol(xi):
+    """Delta(nu) = nu + 1 - exp(-nu xi): one simple strip root, at nu = 0."""
+    return Symbol(1, None, (ShiftTerm(0.0, [[-1.0]]), ShiftTerm(xi, [[1.0]])), 2.0)
+
+
+def test_index_estimate_with_nonzero_shift(grid):
+    # the shift spans 11 grid steps and reaches assembly through _interp_row
+    sym = shift_symbol(0.55)
+    idx, nf, na = index_estimate(sym, grid, -0.3, 0.3)
+    assert nf.reliable and na.reliable
+    assert idx == weighted_index(sym, -0.3, 0.3) == -1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a shift of an even number of grid steps makes the centred-difference "
+    "sawtooth nu = i pi / h an exact discrete axis root: the adjoint gains a "
+    "high-frequency near-null mode and the grid reports -2, flagged reliable"))
+def test_index_estimate_shift_at_even_step_count(grid):
+    sym = shift_symbol(0.5)
+    idx, nf, na = index_estimate(sym, grid, -0.3, 0.3)
+    assert idx == weighted_index(sym, -0.3, 0.3) == -1
+
+
 def test_index_estimate_zero_weights(grid):
     idx, nf, na = index_estimate(hyperbolic_symbol(), grid, 0.0, 0.0)
     assert idx == 0

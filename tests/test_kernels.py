@@ -73,6 +73,16 @@ def test_sampled_matches_closed_form_at_spec_resolution():
     assert err <= 1e-6
 
 
+def test_sampled_kernel_from_config_samples():
+    from specflow.configio import kernel_from_json
+    K = exponential_kernel(2.0, [[1.0]])
+    samples = K.value(np.linspace(-15.0, 15.0, 601)).real   # h = 0.05
+    S = kernel_from_json({"family": "sampled", "h": 0.05, "eta0": 2.0,
+                          "samples": samples.tolist()}, 1)
+    nus = np.array([0.0, 0.5 + 1.0j, -1.0 + 3.0j, 1.5j])
+    assert np.abs(S.transform(nus) - K.transform(nus)).max() <= 1e-5
+
+
 def test_sampled_tail_violation_raises():
     # declared decay not reached at truncation: wide exponential, small R
     K = exponential_kernel(0.5, [[1.0]])
