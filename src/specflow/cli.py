@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -217,17 +218,24 @@ def _cmd_specmap(args, outdir):
     plus_at = configio.pencil_from_json(limits.get("plus"), "limits.plus")
     re_vals = _parse_range("--re", args.re)
     im_vals = _parse_range("--im", args.im)
+    # the flow fallback would refuse a shorter scan at every node
+    if args.scan < 2:
+        raise ConfigurationError(
+            f"a crossing scan needs at least 2 points, got {args.scan}")
     records, borders = specmap(minus_at, plus_at, re_vals, im_vals, args.scan)
     _write_csv(outdir, "specmap.csv",
-               ["re_lambda", "im_lambda", "hyp_minus", "hyp_plus", "index"],
+               ["re_lambda", "im_lambda", "hyp_minus", "hyp_plus", "index", "note"],
                [(r["lambda"].real, r["lambda"].imag,
                  int(r["hyp_minus"]), int(r["hyp_plus"]),
-                 "" if r["index"] is None else r["index"]) for r in records])
+                 "" if r["index"] is None else r["index"], r["note"])
+                for r in records])
     _write_csv(outdir, "borders.csv", ["re_lambda", "im_lambda"],
                [(b.real, b.imag) for b in borders])
     n_idx = sum(1 for r in records if r["index"] is not None)
+    notes = Counter(r["note"] for r in records if r["note"])
     _write_json(outdir, "result.json", {
         "points": len(records), "with_index": n_idx,
+        "notes": dict(sorted(notes.items())),
         "borders": [[b.real, b.imag] for b in borders],
     })
     return 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad_vec
 
 from .errors import (ConfigurationError, DegeneracyViolated, NonrealSpectrum,
@@ -227,10 +228,12 @@ class _ShockSystem(WeightedWindow):
         self.x_ext = -grid.L - ext + self.h * np.arange(self.m + 2 * next_)
         m_ext = len(self.x_ext)
         w_ext = trapezoid_weights(m_ext, self.h)
-        diffs = self.x[:, None] - self.x_ext[None, :]
-        vals_ext = np.real(self.dK.value(diffs.ravel())).reshape(
-            self.m, m_ext, n, n)
-        self.Cext = vals_ext * w_ext[None, :, None, None]
+        # x_i - x_ext_j = ext + h (i - j) takes m + m_ext - 1 values: one
+        # table of them, reversed, holds row i as the window from m - 1 - i
+        table = np.real(self.dK.value(
+            ext + self.h * np.arange(-(m_ext - 1), self.m)))
+        rows = sliding_window_view(table[::-1], m_ext, axis=0)[::-1]
+        self.Cext = np.moveaxis(rows, 3, 1) * w_ext[None, :, None, None]
         self.chi_p_ext = 0.5 * (1.0 + np.tanh(self.x_ext))
         self.chi_m_ext = 0.5 * (1.0 - np.tanh(self.x_ext))
         self.dchi_ext = 0.5 / np.cosh(self.x_ext) ** 2

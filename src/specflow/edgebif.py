@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 
 from .charmatrix import _cauchy_derivatives, axis_cutoff, char_eval, delta_eval
@@ -408,26 +409,37 @@ class _EdgeSystem(WeightedWindow):
         return R.reshape(-1)
 
     def jacobian(self, z, res):
-        a_minus, gamma, w = self.unpack(z)
-        lam, nu_p, nu_m, e_p, e_m, U, dU = self.ansatz(a_minus, gamma)
+        """Jacobian in (a_-, gamma, active w).
+
+        The two leading columns are forward differences.  The w block is
+        analytic: a scipy.sparse band without kernel matrices, a dense
+        array when `Cw` or `pert_Cw` adds its convolution.
+        """
+        gamma = z[1]
         m, n = self.m, self.n
         invW = np.repeat(1.0 / self.Wvec, n)
+        scale = sparse.diags(invW)
 
-        # analytic block in w; the derivative chain divides by the weight
-        # at the output node (row scaling), the convolution at the input
-        # node (column scaling)
-        Dx = np.kron(self.D4, np.eye(n)) - np.diag(np.repeat(self.dwexp, n))
-        JW = Dx * invW[:, None]
-        JW = JW - np.kron(np.eye(m), self.model.zero_shift(lam)) * invW[None, :]
-        if self.Cw is not None:
-            JW = JW - self.Cw.real * invW[None, :]
+        # the derivative chain divides by the weight at the output node
+        # (scale on the left), every other term at the input node (scale
+        # on the right)
+        Dx = (sparse.kron(self.D4, np.eye(n))
+              - sparse.diags(np.repeat(self.dwexp, n)))
+        local = -sparse.kron(sparse.identity(m), self.model.zero_shift(gamma * gamma))
         if self.model.P is not None:
-            JW = JW + self.eps * np.kron(np.diag(self.Vx), self.model.P) * invW[None, :]
-        else:
-            JW = JW + self.eps * (np.repeat(self.Vx, n)[:, None]
-                                  * self.pert_Cw.real) * invW[None, :]
+            local = local + self.eps * sparse.kron(sparse.diags(self.Vx), self.model.P)
+        JW = scale @ Dx + local @ scale
 
         Jp = fd_columns(self.residual, z, res, 2)
+        if self.Cw is None and self.pert_Cw is None:
+            return sparse.hstack([Jp, sparse.csc_matrix(JW)[:, self.active_flat]],
+                                 format="csc")
+        JW = JW.toarray()
+        if self.Cw is not None:
+            JW -= self.Cw.real * invW[None, :]
+        if self.pert_Cw is not None:
+            JW += self.eps * (np.repeat(self.Vx, n)[:, None]
+                              * self.pert_Cw.real) * invW[None, :]
         return np.hstack([Jp, JW[:, self.active_flat]])
 
 

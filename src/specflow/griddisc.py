@@ -23,8 +23,12 @@ whenever the defect functions decay fast enough inside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from .charmatrix import adjoint_symbol
 from .errors import GridTooCoarse, NewtonDiverged, TailUnresolved
@@ -42,6 +46,10 @@ _TOL_RATIO = 1e3            # singular-value gap that makes a spectral cut clear
 # outer _EDGE_FRACTION of the window are truncation artifacts
 _EDGE_FRACTION = 0.15
 _EDGE_MASS_LIMIT = 0.5
+# Newton steps: Tikhonov parameter of the column-equilibrated normal
+# equations, and the number of iterated-ridge solves per step
+_RIDGE = 1e-5
+_RIDGE_SOLVES = 5
 
 
 @dataclass(frozen=True)
@@ -507,12 +515,44 @@ def fd_columns(residual, z, base, count):
     return J
 
 
+def _ls_step(J, res):
+    """Least-squares solution of J step = -res, by iterated ridge.
+
+    The columns are equilibrated first: the weighted window unknowns
+    carry exponentially disparate scales.  With A the scaled matrix,
+    N = A^T A + _RIDGE^2 I is factored once (Cholesky for a dense J, a
+    sparse LU for a scipy.sparse J), and _RIDGE_SOLVES refinements
+    x <- x + N^{-1} A^T (-res - A x) from x = 0 follow.  Directions with
+    singular value s >> _RIDGE are solved to rounding; null directions
+    (s << _RIDGE) stay out of the step, so no rank cut decides what the
+    step is.
+    """
+    if sparse.issparse(J):
+        colnorm = sparse_norm(J, axis=0)
+        colnorm[colnorm == 0] = 1.0
+        A = sparse.csc_matrix(J) @ sparse.diags(1.0 / colnorm)
+        N = A.T @ A + _RIDGE ** 2 * sparse.identity(len(colnorm))
+        solve = splu(sparse.csc_matrix(N)).solve
+    else:
+        colnorm = np.linalg.norm(J, axis=0)
+        colnorm[colnorm == 0] = 1.0
+        A = J / colnorm
+        N = A.T @ A
+        N[np.diag_indices_from(N)] += _RIDGE ** 2
+        solve = partial(cho_solve, cho_factor(N))
+    x = np.zeros(A.shape[1])
+    for _ in range(_RIDGE_SOLVES):
+        x = x + solve(A.T @ (-res - A @ x))
+    return x / colnorm
+
+
 def newton_solve(residual, jacobian, z, tol, max_iter, rows=None, plateau=0.0):
-    """Damped Newton iteration with column-equilibrated least-squares steps.
+    """Damped Newton iteration with least-squares steps (`_ls_step`).
 
     `residual(z)` is the residual vector and `jacobian(z, res)` its
-    Jacobian at z, given the residual res there.  The iteration stops
-    once the max norm over `rows` (all rows when None) is at most `tol`.
+    Jacobian at z, given the residual res there, as a dense array or a
+    scipy.sparse matrix.  The iteration stops once the max norm over
+    `rows` (all rows when None) is at most `tol`.
     Each step is halved up to 8 times until the norm decreases.  A
     positive `plateau` is an attainable-residual floor: an iteration
     that stalls below it, or gains less than a factor 2 there, counts as
@@ -526,14 +566,7 @@ def newton_solve(residual, jacobian, z, tol, max_iter, rows=None, plateau=0.0):
         rnorm = norm(res)
         if rnorm <= tol:
             break
-        J = jacobian(z, res)
-        # column equilibration: the weighted window unknowns carry
-        # exponentially disparate scales, which a plain least-squares
-        # solve cannot handle
-        colnorm = np.linalg.norm(J, axis=0)
-        colnorm[colnorm == 0] = 1.0
-        step, *_ = np.linalg.lstsq(J / colnorm[None, :], -res, rcond=None)
-        step = step / colnorm
+        step = _ls_step(jacobian(z, res), res)
         damp = 1.0
         for _ in range(8):
             z_new = z + damp * step

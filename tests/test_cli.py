@@ -388,9 +388,8 @@ def test_edge_expr_potential_matches_shipped(tmp_path):
     assert _outputs(tmp_path, "expr", "edge", expr, ["result.json"], eps) == want
 
 
-def test_specmap_flow_fallback_for_gaussian_kernels(tmp_path):
-    # Gaussian kernels are not rational, so every node's index comes from
-    # the spectral flow instead of the exact axis winding
+def _gaussian_map_config(tmp_path):
+    """neuralfield.json with Gaussian kernels, which are not rational."""
     cfg = json.loads((CONFIGS / "neuralfield.json").read_text())
     for side in ("minus", "plus"):
         limit = cfg["limits"][side]
@@ -398,10 +397,49 @@ def test_specmap_flow_fallback_for_gaussian_kernels(tmp_path):
                            "M": limit["kernel"]["M"]}
     path = tmp_path / "map.json"
     path.write_text(json.dumps(cfg))
-    rc = run(["specmap", "--config", str(path), "--out", str(tmp_path),
-              "--re=-1:1:5", "--im=0:0:1", "--scan", "100"])
+    return str(path)
+
+
+def test_specmap_flow_fallback_for_gaussian_kernels(tmp_path):
+    # Gaussian kernels are not rational, so every node's index comes from
+    # the spectral flow instead of the exact axis winding
+    rc = run(["specmap", "--config", _gaussian_map_config(tmp_path),
+              "--out", str(tmp_path), "--re=-1:1:5", "--im=0:0:1",
+              "--scan", "100"])
     assert rc == 0
     with open(tmp_path / "specmap.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [(float(r["re_lambda"]), r["index"]) for r in rows] == [
-        (-1.0, "0"), (-0.5, "1"), (0.0, "0"), (0.5, "0"), (1.0, "0")]
+    assert [(float(r["re_lambda"]), r["index"], r["note"]) for r in rows] == [
+        (-1.0, "0", ""), (-0.5, "1", ""), (0.0, "0", ""), (0.5, "0", ""),
+        (1.0, "0", "")]
+    assert read_json(tmp_path)["notes"] == {}
+
+
+def test_specmap_scan_below_two_exit_code(tmp_path):
+    # the flow fallback would refuse the scan at every node
+    rc = run(["specmap", "--config", _gaussian_map_config(tmp_path),
+              "--out", str(tmp_path), "--re=-1:1:3", "--im=0:0:1",
+              "--scan", "1"])
+    assert rc == 2
+    assert read_json(tmp_path, "error.json")["kind"] == "configuration"
+    assert not (tmp_path / "specmap.csv").exists()
+
+
+def test_specmap_records_node_failures(tmp_path, monkeypatch):
+    import specflow.cli as cli
+    from specflow.errors import InconclusiveCount
+
+    def inconclusive(*args, **kwargs):
+        raise InconclusiveCount("winding did not settle")
+
+    monkeypatch.setattr(cli, "fredholm_index", inconclusive)
+    rc = run(["specmap", "--config", _gaussian_map_config(tmp_path),
+              "--out", str(tmp_path), "--re=-1:1:3", "--im=0:0:1"])
+    assert rc == 0
+    with open(tmp_path / "specmap.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["index"], r["note"]) for r in rows] == [
+        ("", "InconclusiveCount")] * 3
+    result = read_json(tmp_path)
+    assert result["with_index"] == 0
+    assert result["notes"] == {"InconclusiveCount": 3}

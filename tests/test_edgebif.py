@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from specflow.edgebif import (EdgeModel, diffusive_check, edge_constant,
-                              edge_eigenvalue, edge_scaling, edge_vectors,
-                              smooth_ramp)
-from specflow.griddisc import Grid, assemble, nullity
+import specflow.griddisc as griddisc
+from specflow.edgebif import (EdgeModel, _EdgeSystem, diffusive_check,
+                              edge_constant, edge_eigenvalue, edge_scaling,
+                              edge_vectors, smooth_ramp)
+from specflow.griddisc import Grid, assemble, fd_columns, nullity
 from specflow.kernels import ExpPolyKernel
 
 from oracles import shallow_well_eigenvalue
@@ -204,12 +206,17 @@ def test_eigenvalue_off_essential_spectrum():
     assert hyp.margin == pytest.approx(r.lam, rel=1e-6)
 
 
-def test_convolution_perturbation_kernel_path():
+def kernel_perturbation_model():
+    """The Schrodinger trap with a Gaussian perturbation kernel for P."""
     from specflow.kernels import gaussian_kernel
     pk = gaussian_kernel(0.5, [[0.0, 0.0], [1.0, 0.0]])
-    model = EdgeModel(n=2, B=[[0, 0], [1, 0]], dirac=[[0, -1], [0, 0]],
-                      V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-                      pert_kernel=pk, eta=0.5, weight_eta=0.5)
+    return EdgeModel(n=2, B=[[0, 0], [1, 0]], dirac=[[0, -1], [0, 0]],
+                     V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
+                     pert_kernel=pk, eta=0.5, weight_eta=0.5)
+
+
+def test_convolution_perturbation_kernel_path():
+    model = kernel_perturbation_model()
     # unit-mass perturbation kernel pairs like the matrix Dirac factor
     assert edge_constant(model) == pytest.approx(np.sqrt(np.pi) / 2, rel=1e-10)
     r = edge_eigenvalue(model, 0.02)
@@ -241,3 +248,54 @@ def test_no_kernel_at_doubled_eigenvalue():
 
     assert nullity(assemble(op_at(r.lam), g), tol_ratio=100.0).dim == 1
     assert nullity(assemble(op_at(2 * r.lam), g), tol_ratio=100.0).dim == 0
+
+
+@pytest.mark.parametrize("make, form", [(schrodinger_model, "sparse"),
+                                        (kernel_perturbation_model, "dense")],
+                         ids=["dirac", "kernel"])
+def test_edge_jacobian_matches_differences(make, form):
+    model = make()
+    data = edge_vectors(model)
+    sys = _EdgeSystem(model, Grid(20.0, 0.2), 0.02, data)
+    rng = np.random.default_rng(1)
+    z = np.concatenate([[1.1, -0.02 * edge_constant(model, data)],
+                        1e-3 * rng.standard_normal(int(sys.active_flat.sum()))])
+    res = sys.residual(z)
+    J = sys.jacobian(z, res)
+    # a band without kernel matrices, dense once a convolution enters
+    assert sparse.issparse(J) == (form == "sparse")
+    J = J.toarray() if sparse.issparse(J) else J
+    J_fd = fd_columns(sys.residual, z, res, len(z))
+    assert np.linalg.norm(J - J_fd) <= 1e-6 * np.linalg.norm(J_fd)
+
+
+def test_edge_steps_stay_out_of_sawtooth_modes(monkeypatch):
+    # the edge Jacobian has two sawtooth modes of fd4_matrix with singular
+    # values near 1e-11 and 5e-13 (column-equilibrated); gelsd counted the
+    # larger one into the rank and put rounding noise along it, up to the
+    # whole second step.  The ridge step keeps them out.
+    steps = []
+    ls_step = griddisc._ls_step
+
+    def recorded(J, res):
+        step = ls_step(J, res)
+        steps.append((J, step))
+        return step
+
+    monkeypatch.setattr(griddisc, "_ls_step", recorded)
+    edge_eigenvalue(schrodinger_model(), 0.02)
+    assert len(steps) >= 2
+    for J, step in steps[:2]:
+        J = J.toarray()
+        colnorm = np.linalg.norm(J, axis=0)
+        _, s, Vh = np.linalg.svd(J / colnorm, full_matrices=False)
+        null = Vh[s < 1e-8 * s[0]]
+        assert len(null) == 2
+        # consecutive grid values of each null vector alternate in sign
+        for v in null:
+            nodes = v[2::2]
+            big = np.abs(nodes) > 1e-3 * np.abs(nodes).max()
+            flips = np.sign(nodes[1:]) != np.sign(nodes[:-1])
+            assert flips[big[1:] & big[:-1]].mean() > 0.99
+        scaled = step * colnorm
+        assert np.abs(null @ scaled).max() <= 1e-6 * np.linalg.norm(scaled)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from specflow.charmatrix import adjoint_symbol
+from scipy import sparse
 from scipy.integrate import quad
 
 from specflow.errors import GridTooCoarse, NewtonDiverged, TailUnresolved
 from specflow.flow import weighted_index
-from specflow.griddisc import (Grid, assemble, assemble_adjoint, conv_matrix,
-                               fd4_matrix, fd_columns, index_estimate,
-                               newton_solve, nullity, solve_inhomogeneous)
+from specflow.griddisc import (Grid, _ls_step, assemble, assemble_adjoint,
+                               conv_matrix, fd4_matrix, fd_columns,
+                               index_estimate, newton_solve, nullity,
+                               solve_inhomogeneous)
 from specflow.kernels import exponential_kernel, one_sided_exponential_kernel
 from specflow.symbols import OperatorFamily, ShiftTerm, Symbol, weight_shift
 
@@ -249,3 +251,54 @@ def test_newton_solve_returns_at_plateau():
     z, res, iterations = newton_solve(_no_root, _no_root_jacobian,
                                       np.array([0.5]), 1e-12, 20, plateau=1.5)
     assert iterations == 1 and 1.0 < res[0] < 1.25
+
+
+def _sawtooth_system(nb=60):
+    """A rank-deficient least-squares problem shaped like a Newton matrix.
+
+    Two dense columns, then a band whose rows all annihilate the sawtooth
+    (-1)^k (integer stencils (p, p + q, q) and (1, 1)), with column
+    scales spread over e^0 ... e^15.  Returns (J, null vector, x0); the
+    right-hand side -J x0 is consistent, as near a Newton solution.
+    """
+    rng = np.random.default_rng(3)
+    B = np.zeros((nb + 2, nb))
+    for i in range(1, nb - 1):
+        p, q = rng.integers(1, 5, 2)
+        B[i, i - 1:i + 2] = (p, p + q, q)
+    B[0, :2] = B[nb - 1, -2:] = B[nb, 20:22] = B[nb + 1, 40:42] = 1.0
+    scale = np.exp(np.linspace(0.0, 15.0, nb))
+    J = np.hstack([rng.standard_normal((nb + 2, 2)), B * scale])
+    null = np.concatenate([[0.0, 0.0], (-1.0) ** np.arange(nb) / scale])
+    return J, null, rng.standard_normal(nb + 2) / np.linalg.norm(J, axis=0)
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_ls_step_is_the_minimum_norm_step(form):
+    J, null, x0 = _sawtooth_system()
+    res = -J @ x0
+    colnorm = np.linalg.norm(J, axis=0)
+    s = np.linalg.svd(J / colnorm, compute_uv=False)
+    # one exact null direction; the rest of the spectrum sits far above
+    # the ridge parameter
+    assert s[-1] < 1e-15 and s[-2] > 1e-3
+    ref = np.linalg.lstsq(J / colnorm, -res, rcond=None)[0]
+    step = _ls_step(J if form == "dense" else sparse.csr_matrix(J), res) * colnorm
+    v = null * colnorm
+    v /= np.linalg.norm(v)
+    along = v @ step
+    # rounding of A^T r, divided by the squared ridge parameter, is all
+    # that reaches the null direction
+    assert abs(along) <= 1e-6 * np.linalg.norm(step)
+    assert np.linalg.norm(step - along * v - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_newton_solve_calls_no_dense_lstsq(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    z, res, iterations = newton_solve(
+        _circle_line, lambda z, res: fd_columns(_circle_line, z, res, 2),
+        np.array([1.0, 0.5]), 1e-12, 20)
+    assert np.allclose(z, [np.sqrt(2.0), np.sqrt(2.0)], atol=1e-10)
