@@ -18,20 +18,30 @@ Kernel and cokernel dimensions are then estimated from the singular
 value spectrum: truncation perturbs exact zero singular values to
 exponentially small ones, so a ratio gap separates them from the rest
 whenever the defect functions decay fast enough inside the window.
+No full SVD is taken (`_partial_svd`).  An operator without a kernel
+has a banded matrix, and its singular values are the eigenvalues +-s of
+the banded Hermitian Jordan-Wielandt matrix [[0, A], [A^H, 0]]; a
+kernel fills the matrix, and a values-only SVD gives them.  Only the
+right singular vectors below the cut are computed, by block inverse
+iteration through one LU (sparse for a band, dense otherwise), and the
+edge-mass filter works on the subspace they span.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import (LinAlgWarning, cho_factor, cho_solve, eig_banded,
+                          lu_factor, lu_solve)
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from .charmatrix import adjoint_symbol
-from .errors import GridTooCoarse, NewtonDiverged, TailUnresolved
+from .errors import (ConfigurationError, GridTooCoarse, NewtonDiverged,
+                     NumericalError, TailUnresolved)
 from .symbols import OperatorFamily, Symbol
 
 __all__ = [
@@ -42,6 +52,15 @@ __all__ = [
 ]
 
 _TOL_RATIO = 1e3            # singular-value gap that makes a spectral cut clear
+# singular values come from the banded Jordan-Wielandt eigenproblem when
+# its half-width is at most this fraction of the matrix order; there its
+# cost meets the values-only SVD's (N = 1201 and 2402, one thread)
+_BAND_FRACTION = 1 / 16
+# near-null vectors: block inverse iteration with _OVERSAMPLE extra
+# columns, until the Ritz values match to _RITZ_RTOL, in _MAX_SWEEPS sweeps
+_OVERSAMPLE = 2
+_RITZ_RTOL = 1e-8
+_MAX_SWEEPS = 30
 # near-null modes with more than _EDGE_MASS_LIMIT of their mass in the
 # outer _EDGE_FRACTION of the window are truncation artifacts
 _EDGE_FRACTION = 0.15
@@ -59,8 +78,9 @@ class Grid:
     h: float = 0.05
 
     def __post_init__(self):
-        if self.L <= 0 or self.h <= 0:
-            raise ValueError("grid needs L > 0 and h > 0")
+        if not (np.isfinite(self.L) and np.isfinite(self.h)
+                and self.L > 0 and self.h > 0):
+            raise ConfigurationError("grid needs finite L > 0 and h > 0")
 
     @property
     def nodes(self):
@@ -345,7 +365,7 @@ class NullityResult:
     tol_abs: float
     reliable: bool
     dim_raw: int = 0         # everything below the spectral cut
-    edge_masses: tuple = ()
+    edge_masses: tuple = ()  # eigenvalues of Q^H P Q, ascending (see nullity)
 
 
 def nullity(gridop, tol_ratio=_TOL_RATIO):
@@ -357,13 +377,24 @@ def nullity(gridop, tol_ratio=_TOL_RATIO):
     value is already at working scale reports dimension 0 with infinite
     gap.
 
+    The spectrum comes from `_partial_svd`: every singular value, from
+    the banded Jordan-Wielandt eigenproblem when the matrix is banded
+    (operators without a kernel) and from a values-only dense SVD
+    otherwise, and the right singular vectors of the `dim_raw` values
+    below the cut only, by block inverse iteration through one LU.
+    Gaps between values at rounding level (far above 1e8) depend on the
+    engine and carry no information.
+
     Zero extension at the window edges creates spurious near-null modes
     living in a boundary layer (half-line artifacts of the truncation).
     Genuine kernel functions are square integrable on the line and enter
-    the window concentrated away from the edges, so modes below the cut
-    whose right singular vector carries more than half of its mass in
-    the outer 15% of the window are classified as truncation artifacts
-    and excluded from `dim` (they remain counted in `dim_raw`).
+    the window concentrated away from the edges.  With Q an orthonormal
+    basis of the near-null subspace and P the projector onto the outer
+    15% of the window, `edge_masses` are the eigenvalues of Q^H P Q:
+    they do not depend on the basis, which a subspace at rounding level
+    does not single out.  Modes with more than half of their mass at the
+    edges are classified as truncation artifacts and excluded from `dim`
+    (they remain counted in `dim_raw`).
 
     The reliability flag refers to the clarity of the chosen spectral
     cut, not to completeness: kernel modes whose truncation error is not
@@ -374,13 +405,118 @@ def nullity(gridop, tol_ratio=_TOL_RATIO):
     convergence test.
     """
     M = gridop.matrix if isinstance(gridop, GridOperator) else gridop
-    _, s_desc, Vh = np.linalg.svd(M, full_matrices=False)
-    return _classify_spectrum(gridop, s_desc, Vh, tol_ratio)
+    s, right_vectors = _partial_svd(M)
+    return _classify_spectrum(gridop, s, right_vectors, tol_ratio)
 
 
-def _classify_spectrum(gridop, s_desc, Vh, tol_ratio=_TOL_RATIO):
-    """The nullity classification of one SVD (descending values, Vh)."""
-    s = s_desc[::-1]
+def _jordan_wielandt_band(M):
+    """Upper band of the Jordan-Wielandt matrix of M, or None if too wide.
+
+    In the interleaved order z = (x_1, y_1, x_2, y_2, ...) the Hermitian
+    matrix [[0, M], [M^H, 0]] holds M[i, j] at (2i, 2j + 1) and its
+    conjugate at (2j + 1, 2i).  Only the odd superdiagonals d = 2p + 1
+    are nonzero: diagonal p of M on the even rows and the conjugate of
+    diagonal -(p + 1) on the odd rows.  Returns the (kd + 1, 2N) upper
+    band storage of `scipy.linalg.eig_banded`, or None when the half-width
+    kd exceeds _BAND_FRACTION of N.
+    """
+    N = M.shape[0]
+    nz = M != 0
+    row = np.arange(N)
+    lower = int(np.max(row - nz.argmax(axis=1)))
+    upper = int(np.max(N - 1 - nz[:, ::-1].argmax(axis=1) - row))
+    kd = max(2 * upper + 1, 2 * lower - 1)
+    if kd > _BAND_FRACTION * N:
+        return None
+    band = np.zeros((kd + 1, 2 * N), dtype=M.dtype)
+    for p in range((kd + 1) // 2):
+        d = 2 * p + 1
+        band[kd - d, d::2] = np.diagonal(M, p)
+        band[kd - d, d + 1::2] = np.diagonal(M, -(p + 1)).conj()
+    return band
+
+
+def _partial_svd(M):
+    """Ascending singular values of the square M, and its near-null vectors.
+
+    Returns (s, right_vectors): right_vectors(k) is an orthonormal basis
+    (N x k) of the right singular vectors of s[:k].  When M is banded the
+    values come from the Jordan-Wielandt eigenvalues +-s (Golub & Van
+    Loan, Matrix Computations, 8.6), each s the half-difference of a
+    mirrored pair, which cancels the part of the rounding that no
+    perturbation of M explains; otherwise from a values-only SVD.  The
+    vectors come from `_smallest_right_vectors`, through a sparse LU for
+    a banded M and a dense one otherwise.
+    """
+    N = M.shape[0]
+    band = _jordan_wielandt_band(M)
+    if band is None:
+        s = np.linalg.svd(M, compute_uv=False)[::-1]
+        A = M
+    else:
+        eig = eig_banded(band, eigvals_only=True)
+        s = 0.5 * (eig[N:] - eig[N - 1::-1])
+        A = sparse.csc_matrix(M)
+    return s, partial(_smallest_right_vectors, A, s)
+
+
+def _lu_solver(A, delta):
+    """solve(b, trans) by one LU of A: A x = b for "N", A^H x = b for "H".
+
+    A sparse A goes through `splu`, a dense one through `lu_factor`.  An
+    exactly zero pivot (the constants are an exact null vector of the
+    difference rows of Delta(nu) = nu) factors A + delta I instead.
+    """
+    N = A.shape[0]
+    if sparse.issparse(A):
+        try:
+            lu = splu(A)
+        except RuntimeError:            # "Factor is exactly singular"
+            lu = splu(sparse.csc_matrix(A + delta * sparse.identity(N)))
+        return lu.solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        factors = lu_factor(A)
+    if not np.diagonal(factors[0]).all():
+        factors = lu_factor(A + delta * np.eye(N))
+    return lambda b, trans: lu_solve(factors, b, trans={"N": 0, "H": 2}[trans])
+
+
+def _smallest_right_vectors(A, s, k):
+    """Right singular vectors of the k smallest singular values s[:k] of A.
+
+    Block inverse iteration on A^H A through one LU of A, with
+    _OVERSAMPLE extra columns and a fixed seeded start block.  Each sweep
+    orthonormalizes after A^-H and again after A^-1: one QR of the
+    (A^H A)^-1 image would have to resolve 1/s^2, and a mode at 1e-8
+    would drown in the rounding of one at 1e-16.  A
+    Rayleigh-Ritz SVD of A V follows every sweep, until the k smallest
+    Ritz values match s[:k] to _RITZ_RTOL relative or, at rounding level,
+    to 2 delta, delta = N eps ||A|| (the shift of an exactly singular A
+    moves them by up to that).  Raises NumericalError if _MAX_SWEEPS
+    sweeps do not get there.  Returns an orthonormal (N, k) array.
+    """
+    N = A.shape[0]
+    delta = N * np.finfo(float).eps * s[-1]
+    solve = _lu_solver(A, delta)
+    tol = _RITZ_RTOL * s[:k] + 2.0 * delta
+    X = np.random.default_rng(0).standard_normal((N, k + _OVERSAMPLE))
+    for _ in range(_MAX_SWEEPS):
+        X = np.linalg.qr(solve(np.linalg.qr(solve(X, "H"))[0], "N"))[0]
+        _, ritz, Wh = np.linalg.svd(A @ X, full_matrices=False)
+        if np.all(np.abs(ritz[::-1][:k] - s[:k]) <= tol):
+            return X @ Wh[::-1][:k].conj().T
+    raise NumericalError(
+        f"inverse iteration did not reach the {k} smallest singular values "
+        f"in {_MAX_SWEEPS} sweeps")
+
+
+def _classify_spectrum(gridop, s, right_vectors, tol_ratio=_TOL_RATIO):
+    """The nullity classification of ascending singular values s.
+
+    right_vectors(k) is an orthonormal basis of the right singular
+    vectors of s[:k]; it is called only when the cut leaves k > 0.
+    """
     floor = 1e-9 * s[-1]
     median = s[len(s) // 2]
     limit = np.searchsorted(s, median)
@@ -404,22 +540,15 @@ def _classify_spectrum(gridop, s_desc, Vh, tol_ratio=_TOL_RATIO):
     mask = np.zeros(m, dtype=bool)
     mask[:edge_nodes] = True
     mask[-edge_nodes:] = True
-    mask = np.repeat(mask, n)
-
-    masses = []
-    genuine = 0
-    for j in range(dim_raw):
-        v = Vh[-(j + 1)]
-        em = float(np.sum(np.abs(v[mask]) ** 2) / np.sum(np.abs(v) ** 2))
-        masses.append(em)
-        if em <= _EDGE_MASS_LIMIT:
-            genuine += 1
+    Q = right_vectors(dim_raw)[np.repeat(mask, n)]
+    masses = np.linalg.eigvalsh(Q.conj().T @ Q)
+    genuine = int(np.sum(masses <= _EDGE_MASS_LIMIT))
     # a mode near the edge-mass boundary means the window is too short to
     # separate truncation artifacts from genuine kernel functions
-    ambiguous = any(abs(em - _EDGE_MASS_LIMIT) < 0.15 for em in masses)
+    ambiguous = bool(np.any(np.abs(masses - _EDGE_MASS_LIMIT) < 0.15))
     reliable = best >= tol_ratio and not ambiguous
-    return NullityResult(genuine, best, s, tol_abs, reliable,
-                         dim_raw=dim_raw, edge_masses=tuple(masses))
+    return NullityResult(genuine, best, s, tol_abs, reliable, dim_raw=dim_raw,
+                         edge_masses=tuple(float(em) for em in masses))
 
 
 def index_estimate(operator, grid, gamma_minus=0.0, gamma_plus=0.0):
@@ -449,10 +578,10 @@ def solve_inhomogeneous(gridop, H):
     W = gridop.weight_vector
     Hf = np.asarray(H).reshape(-1)
     if Hf.shape[0] != M.shape[0]:
-        raise ValueError("grid function size mismatch")
+        raise ConfigurationError("grid function size mismatch")
     rhs = W * Hf
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    nres = _classify_spectrum(gridop, s, Vh)
+    nres = _classify_spectrum(gridop, s[::-1], lambda k: Vh[-k:].conj().T)
     # exclude everything below the spectral cut, truncation artifacts
     # included: inverting them is meaningless and numerically explosive
     keep = s > nres.tol_abs if nres.dim_raw else s > 0

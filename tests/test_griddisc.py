@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from specflow.charmatrix import adjoint_symbol
 from scipy import sparse
 from scipy.integrate import quad
 
-from specflow.errors import GridTooCoarse, NewtonDiverged, TailUnresolved
+from specflow import griddisc
+from specflow.errors import (ConfigurationError, GridTooCoarse, NewtonDiverged,
+                             TailUnresolved)
 from specflow.flow import weighted_index
-from specflow.griddisc import (Grid, _ls_step, assemble, assemble_adjoint,
+from specflow.griddisc import (Grid, _classify_spectrum, _jordan_wielandt_band,
+                               _ls_step, assemble, assemble_adjoint,
                                conv_matrix, fd4_matrix, fd_columns,
                                index_estimate, newton_solve, nullity,
                                solve_inhomogeneous)
@@ -25,9 +30,27 @@ def axis_root_symbol():
                   (ShiftTerm(0.0, [[-1.0]]),), 1.9)
 
 
+def nilpotent_symbol():
+    """2x2 without a kernel: one axis root of multiplicity two, at 0."""
+    return Symbol(2, None, (ShiftTerm(0.0, [[0.0, 1.0], [0.0, 0.0]]),), 2.0)
+
+
 @pytest.fixture(scope="module")
 def grid():
     return Grid(L=30.0, h=0.05)
+
+
+@pytest.mark.parametrize("L, h", [(np.nan, 0.05), (30.0, np.inf), (-1.0, 0.05),
+                                  (30.0, 0.0)])
+def test_grid_rejects_bad_sizes(L, h):
+    with pytest.raises(ConfigurationError):
+        Grid(L=L, h=h)
+
+
+def test_solve_inhomogeneous_rejects_size_mismatch():
+    g = Grid(L=5.0, h=0.1)
+    with pytest.raises(ConfigurationError):
+        solve_inhomogeneous(assemble(hyperbolic_symbol(), g), np.ones(g.size + 1))
 
 
 def test_validation_errors(grid):
@@ -113,6 +136,92 @@ def test_index_estimate_shift_at_even_step_count(grid):
     sym = shift_symbol(0.5)
     idx, nf, na = index_estimate(sym, grid, -0.3, 0.3)
     assert idx == weighted_index(sym, -0.3, 0.3) == -1
+
+
+def _full_svd_nullity(gridop):
+    """Reference engine: one full SVD, then the same classification."""
+    _, s, Vh = np.linalg.svd(gridop.matrix)
+    return _classify_spectrum(gridop, s[::-1], lambda k: Vh[-k:].conj().T)
+
+
+def _assert_same_nullity(res, ref):
+    """Equal counts and flags, and equal spectra above the cut.
+
+    A value above the cut agrees to 1e-10 relative or, far below the
+    largest, to eps sigma_max: backward-stable engines differ by that much.
+    Gaps at rounding level differ between engines and are not compared.
+    """
+    assert (res.dim, res.dim_raw, res.reliable) == (ref.dim, ref.dim_raw, ref.reliable)
+    k = ref.dim_raw
+    s, r = res.singulars[k:], ref.singulars[k:]
+    assert np.all(np.abs(s - r) <= 1e-10 * r + np.finfo(float).eps * r[-1])
+    assert np.allclose(res.edge_masses, ref.edge_masses, rtol=0.0, atol=1e-6)
+
+
+def complex_double_root_symbol():
+    """Complex, without a kernel: Delta(nu) = (nu - i) I - N.
+
+    N = [[1, i], [i, -1]] is nilpotent; its complex entry below the
+    diagonal reaches the conjugated half of the Jordan-Wielandt band.
+    """
+    return Symbol(2, None, (ShiftTerm(0.0, [[1 + 1j, 1j], [1j, -1 + 1j]]),), 2.0)
+
+
+# criterion 06's scenarios and the benchmark's symbols at its two weight
+# extremes on the default grid; a complex symbol without a kernel (on a
+# coarse grid: its complex full SVD is slow) and a shift at xi != 0
+_FULL = (30.0, 0.05)
+_ENGINE_SCENARIOS = (
+    [(axis_root_symbol, g, _FULL) for g in (0.02, -0.02, 0.05, -0.05, 0.1, -0.1,
+                                            0.17, -0.17, 0.35, -0.35)]
+    + [(nilpotent_symbol, 0.17, _FULL), (nilpotent_symbol, 0.35, _FULL),
+       (complex_double_root_symbol, 0.35, (15.0, 0.1)),
+       (partial(shift_symbol, 0.55), 0.3, _FULL)])
+
+
+@pytest.mark.parametrize("make, gamma, size", _ENGINE_SCENARIOS)
+def test_nullity_matches_full_svd(make, gamma, size):
+    sym, g = make(), Grid(*size)
+    for op in (assemble(sym, g, (-gamma, gamma)),
+               assemble_adjoint(sym, g, (gamma, -gamma))):
+        _assert_same_nullity(nullity(op), _full_svd_nullity(op))
+
+
+def test_kernel_free_operators_are_banded(grid):
+    # the nilpotent task's Jordan-Wielandt band half-width is 9; a shift
+    # at xi = 0.55 (11 steps) widens it, and a kernel fills the matrix
+    nil = assemble(nilpotent_symbol(), grid, (-0.35, 0.35)).matrix
+    assert _jordan_wielandt_band(nil).shape == (10, 2 * nil.shape[0])
+    assert _jordan_wielandt_band(assemble(shift_symbol(0.55), grid).matrix).shape[0] == 24
+    assert _jordan_wielandt_band(assemble(axis_root_symbol(), grid).matrix) is None
+
+
+def derivative_symbol():
+    """Delta(nu) = nu: the constants are an exact null vector of the
+    difference rows, so an LU of the grid matrix meets a zero pivot."""
+    return Symbol(1, None, (ShiftTerm(0.0, [[0.0]]),), 2.0)
+
+
+@pytest.mark.parametrize("make, weights", [(nilpotent_symbol, (-0.35, 0.35)),
+                                           (complex_double_root_symbol, (-0.35, 0.35)),
+                                           (derivative_symbol, (0.0, 0.0))])
+def test_both_value_engines_on_one_banded_matrix(monkeypatch, make, weights):
+    op = assemble(make(), Grid(L=15.0, h=0.1), weights)
+    assert _jordan_wielandt_band(op.matrix) is not None
+    ref = _full_svd_nullity(op)
+    banded = nullity(op)
+    monkeypatch.setattr(griddisc, "_BAND_FRACTION", 0.0)
+    dense = nullity(op)
+    _assert_same_nullity(banded, ref)
+    _assert_same_nullity(dense, ref)
+
+
+@pytest.mark.parametrize("g", [Grid(L=15.0, h=0.1), Grid(L=30.0, h=0.05)])
+def test_exactly_singular_operator(g):
+    idx, nf, na = index_estimate(derivative_symbol(), g, 0.0, 0.0)
+    assert (idx, nf.dim, na.dim) == (0, 1, 1)
+    for res in (nf, na):
+        assert res.edge_masses == pytest.approx((0.30,), abs=0.01)
 
 
 def test_index_estimate_zero_weights(grid):
