@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StripViolation
+from .errors import ConfigurationError, StripViolation
 from .symbols import ShiftTerm, Symbol
 
 __all__ = [
@@ -178,13 +178,19 @@ def is_hyperbolic(symbol):
     two samples is cleared when the sampled singular values dominate the
     Lipschitz variation across it.  Refinement that hits the floor step
     with a margin below `_ROOT_TOL` reports a root; a floor hit with a
-    small but nonzero margin is flagged inconclusive.
+    small but nonzero margin, or intervals left after `_MAX_ROUNDS`, is
+    flagged inconclusive.  Non-finite samples or bounds raise a
+    ConfigurationError before any refinement.
     """
     cap = axis_cutoff(symbol)
     lip = max(axis_lipschitz(symbol), 1e-12)
+    if not (np.isfinite(cap) and np.isfinite(lip)):
+        raise ConfigurationError("axis cutoff and Lipschitz bound must be finite")
     m0 = max(129, int(min(8 * cap, 4096)) | 1)
     ells = np.linspace(-cap, cap, m0)
     sig = _sigma_min_axis(symbol, ells)
+    if not np.all(np.isfinite(sig)):
+        raise ConfigurationError("the axis margin has non-finite samples")
     samples = m0
 
     lo, hi = ells[:-1], ells[1:]
@@ -225,6 +231,8 @@ def is_hyperbolic(symbol):
         hi = np.concatenate([mid, hi])
         slo = np.concatenate([slo, smid])
         shi = np.concatenate([smid, shi])
+    else:
+        inconclusive = True  # the rounds ran out with intervals left
 
     hyperbolic = not roots and not inconclusive
     wit = roots if roots else [witness]
@@ -233,14 +241,26 @@ def is_hyperbolic(symbol):
                                samples=samples)
 
 
-def axis_margin(symbol):
-    """Cheap (non-certified) minimum of sigma_min(Delta(i ell)) on the axis.
+def _dips(vals, trigger):
+    """Indices of interior local minima low enough to hide a zero.
 
-    Used by crossing scans where only the value of the margin function is
-    needed, not a certificate.  Deterministic: fixed grid plus local
-    refinement around the running minimum, deep enough that margins at
-    actual crossings resolve well below the crossing classification
-    threshold.
+    A zero hidden between samples shows up as a local minimum no larger
+    than the local slope times the sample step (plus `trigger`).
+    """
+    c, lo, hi = vals[1:-1], vals[:-2], vals[2:]
+    slope = np.maximum(np.abs(c - lo), np.abs(hi - c))
+    return np.nonzero((c <= lo) & (c <= hi) & (c < 1.5 * slope + trigger))[0] + 1
+
+
+def _axis_dips(symbol, all_zeros=False):
+    """Refined dips (sigma, ell) of sigma_min(Delta(i ell)), in candidate order.
+
+    The coarse local minima of a fixed axis grid low enough to compete
+    for the minimum (at most 8, lowest first) are refined by shrinking
+    rings, deep enough that the dips at axis roots resolve far below the
+    crossing threshold.  With `all_zeros`, every other coarse dip low
+    enough to hide a zero (`_dips`) follows, in scan order, so that a
+    narrow zero that samples high beside a deeper one is not left out.
     """
     cap = axis_cutoff(symbol)
     m0 = max(257, int(min(8 * cap, 2049)) | 1)
@@ -250,15 +270,17 @@ def axis_margin(symbol):
 
     # several coarse dips can compete; a narrow near-zero dip easily
     # samples larger than a broad benign one, so refine every candidate
-    idx = [k for k in range(1, m0 - 1)
-           if sig[k] <= sig[k - 1] and sig[k] <= sig[k + 1]]
-    idx.sort(key=lambda k: sig[k])
+    c = sig[1:-1]
+    idx = np.nonzero((c <= sig[:-2]) & (c <= sig[2:]))[0] + 1
+    idx = idx[np.argsort(sig[idx], kind="stable")]
     coarse_best = float(sig.min())
-    cands = [k for k in idx if sig[k] <= max(100.0 * coarse_best, 1e-3)][:8]
-    if not cands:
+    cands = idx[sig[idx] <= max(100.0 * coarse_best, 1e-3)][:8]
+    if not cands.size:
         cands = [int(np.argmin(sig))]
+    if all_zeros:
+        cands = np.concatenate([cands, np.setdiff1d(_dips(sig, 1e-5), cands)])
 
-    best, where = np.inf, float(ells[int(np.argmin(sig))])
+    dips = []
     for k in cands:
         b, w = float(sig[k]), float(ells[k])
         step = step0
@@ -273,9 +295,19 @@ def axis_margin(symbol):
                 b, w = lmin, float(local[int(np.argmin(lsig))])
             if step < 1e-13 * max(1.0, cap):
                 break
-        if b < best:
-            best, where = b, w
-    return best, where
+        dips.append((b, w))
+    return dips
+
+
+def axis_margin(symbol):
+    """Cheap (non-certified) minimum of sigma_min(Delta(i ell)) on the axis.
+
+    Used by crossing scans where only the value of the margin function is
+    needed, not a certificate: the first lowest of `_axis_dips`, inf when
+    no sample is finite.
+    """
+    b, w = min(_axis_dips(symbol), key=lambda d: d[0])
+    return (np.inf if np.isnan(b) else b), w
 
 
 def adjoint_symbol(symbol):

@@ -2,8 +2,9 @@
 
 Commands read a JSON config, run one computation and write result.json
 plus command-specific CSV files into the output directory.  Exit codes:
-0 success, 2 configuration/validation failure, 3 numerical failure.
-A JSON error report is always written on failure.
+0 success, 2 configuration/validation failure, 3 numerical failure or
+any other unexpected exception (error kind "internal").  A JSON error
+report is always written on failure.
 
     specflow roots   --config sym.json --box RE_LO RE_HI IM_LO IM_HI
     specflow flow    --config family.json
@@ -19,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -358,6 +360,13 @@ def run(argv=None):
                     {"error": str(exc), "kind": type(exc).__name__})
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # last resort: a failure the library did not classify
+        _write_json(outdir, "error.json",
+                    {"error": f"{type(exc).__name__}: {exc}", "kind": "internal",
+                     "traceback": traceback.format_exc()})
+        traceback.print_exc()
+        return 3
 
 
 def main():

@@ -131,8 +131,10 @@ def _matrix(v, path, n=None):
     if not isinstance(v, list):
         _fail(path, "expected a matrix (list of rows)")
     M = np.array([[_complex_entry(x, path) for x in row] for row in v])
-    if M.shape[0] != M.shape[1]:
-        _fail(path, f"matrix must be square, got {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        _fail(path, f"expected a nonempty square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        _fail(path, "matrix entries must be finite")
     if n is not None and M.shape[0] != n:
         _fail(path, f"expected dimension {n}, got {M.shape[0]}")
     if np.abs(M.imag).max() == 0:
@@ -245,10 +247,18 @@ def family_from_json(spec, path="family"):
     _fail(path, f"unknown path type {kind!r}")
 
 
+def _array(v, shape, path):
+    """A float array of the given shape, else a ConfigurationError at `path`."""
+    arr = np.array(v, dtype=float)
+    if arr.shape != shape:
+        _fail(path, f"expected shape {shape}, got {arr.shape}")
+    return arr
+
+
 def _source_from_json(spec, n, path="source"):
     kind = spec.get("type")
     if kind == "gaussian":
-        vec = np.array([float(v) for v in spec["vector"]])
+        vec = _array(spec["vector"], (n,), path + ".vector")
         width = float(spec.get("width", 1.0))
         center = float(spec.get("center", 0.0))
 
@@ -258,7 +268,7 @@ def _source_from_json(spec, n, path="source"):
         return H
     if kind == "moment":
         # x * gaussian in a single component: odd first-moment source
-        vec = np.array([float(v) for v in spec["vector"]])
+        vec = _array(spec["vector"], (n,), path + ".vector")
         width = float(spec.get("width", 1.0))
 
         def H(x):
@@ -292,8 +302,8 @@ def shock_model_from_json(spec, path="shock"):
     flux = spec.get("flux", {})
     dF = np.real(_matrix(flux["dF"], path + ".flux.dF", n))
     dG = np.real(_matrix(flux["dG"], path + ".flux.dG", n))
-    F2 = np.array(flux["F2"], dtype=float) if "F2" in flux else None
-    G2 = np.array(flux["G2"], dtype=float) if "G2" in flux else None
+    F2, G2 = (_array(flux[k], (n, n, n), f"{path}.flux.{k}") if k in flux
+              else None for k in ("F2", "G2"))
     source = _source_from_json(spec["source"], n, path + ".source")
     return ShockModel(
         n=n, kernel=kernel, dF=dF, dG=dG, source=source, F2=F2, G2=G2,

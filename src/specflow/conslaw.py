@@ -15,8 +15,11 @@ The stationary solver works with the ansatz
 chi_+- = (1 +- tanh x)/2, with W sought in an exponentially weighted
 space (unknowns V = W_w * W on the grid, so the correction is forced to
 decay).  The residual evaluates the flux derivative analytically:
-(K*F(U))' = K' * F(U) including the Dirac part from a kernel jump, plus
+(K*F(U))' = K' * F(U) plus the Dirac part from a kernel jump, and
 dG(U) U' with the slowly-varying ansatz differentiated in closed form.
+K' * F(U) is one trapezoid convolution with a kink correction (the
+window rows of `griddisc.conv_matrix`) on an extended grid that carries
+the ansatz beyond the window, plus exact constant tails.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad_vec
 
 from .errors import (ConfigurationError, DegeneracyViolated, NonrealSpectrum,
                      RepeatedSpeeds, SingularMatrix)
 from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
-                       newton_solve, trapezoid_weights)
+                       newton_solve)
 from .symbols import ShiftTerm, Symbol
 from .flow import weighted_index
 
@@ -206,47 +208,28 @@ class _ShockSystem(WeightedWindow):
 
         speeds, E = characteristic_speeds(model)
         self.E = E
-        self.chi_p = 0.5 * (1.0 + np.tanh(self.x))
-        self.chi_m = 0.5 * (1.0 - np.tanh(self.x))
         self.dchi = 0.5 / np.cosh(self.x) ** 2
 
         self.Hx = self.eps * model.source_at(self.x)
 
-        # Convolution with K' (smooth part of the flux-kernel derivative)
-        # is split: the slowly varying ansatz (chi ramps and constants) is
-        # convolved on an extended grid with exact constant tails beyond,
-        # so window-edge quadrature errors act only on quantities that
-        # vanish there; the compactly supported remainder F(U) - F(Ubar)
-        # is convolved on the window itself.
-        self.dK, self.K_jump = model.kernel.derivative()
-        self.j0 = np.real(self.dK.kink_jumps()[0])
-        self.j1 = np.real(self.dK.kink_jumps()[1])
-        self.cc = self.h * self.h / 12.0
-
-        ext = 12.0
-        next_ = int(round(ext / self.h))
-        self.x_ext = -grid.L - ext + self.h * np.arange(self.m + 2 * next_)
-        m_ext = len(self.x_ext)
-        w_ext = trapezoid_weights(m_ext, self.h)
-        # x_i - x_ext_j = ext + h (i - j) takes m + m_ext - 1 values: one
-        # table of them, reversed, holds row i as the window from m - 1 - i
-        table = np.real(self.dK.value(
-            ext + self.h * np.arange(-(m_ext - 1), self.m)))
-        rows = sliding_window_view(table[::-1], m_ext, axis=0)[::-1]
-        self.Cext = np.moveaxis(rows, 3, 1) * w_ext[None, :, None, None]
-        self.chi_p_ext = 0.5 * (1.0 + np.tanh(self.x_ext))
-        self.chi_m_ext = 0.5 * (1.0 - np.tanh(self.x_ext))
-        self.dchi_ext = 0.5 / np.cosh(self.x_ext) ** 2
-
-        # window convolution matrix for the compact remainder; its corner
-        # columns only meet the pad, where F(U) - F(Ubar) vanishes
-        self.Cmat = conv_matrix(self.dK, self.m, n, self.h, float)
+        # Convolution with K' (smooth part of the flux-kernel derivative):
+        # F(U) is taken on an extended grid, the ansatz beyond the window
+        # and the profile on it, so window-edge quadrature errors act
+        # only on quantities that vanish there; the constant tails beyond
+        # the extension are exact.  One matrix holds the window rows of the
+        # extended-grid convolution.
+        dK, self.K_jump = model.kernel.derivative()
+        next_ = int(round(12.0 / self.h))
+        self.win = slice(next_, next_ + self.m)
+        self.x_ext = x_ext = -grid.L + self.h * np.arange(-next_, self.m + next_)
+        self.C = conv_matrix(dK, len(x_ext), n, self.h, float)[
+            self.win.start * n:self.win.stop * n].copy()
+        self.chi_p_ext = 0.5 * (1.0 + np.tanh(x_ext))
+        self.chi_m_ext = 0.5 * (1.0 - np.tanh(x_ext))
 
         # exact constant tails beyond the extended grid
-        xr = self.x - self.x_ext[-1]
-        xl = self.x - self.x_ext[0]
-        self.tail_right = np.real(self.dK.head_transform(xr, 0.0))
-        self.tail_left = np.real(self.dK.tail_transform(xl, 0.0))
+        self.tail_right = np.real(dK.head_transform(self.x - x_ext[-1], 0.0))
+        self.tail_left = np.real(dK.tail_transform(self.x - x_ext[0], 0.0))
 
     # -- helpers ----------------------------------------------------------
 
@@ -261,47 +244,31 @@ class _ShockSystem(WeightedWindow):
             b[self.free_b] = z[self.n]
         return z[:self.n], b, self.window_field(z[self.n_params:])
 
+    def profile_ext(self, a, b, V):
+        """The ansatz on the extended grid plus the correction on the window."""
+        U = (self.chi_p_ext[:, None] * (self.E @ a)[None, :]
+             + self.chi_m_ext[:, None] * (self.E @ b)[None, :])
+        U[self.win] += V / self.Wvec[:, None]
+        return U
+
     def profile(self, a, b, V):
-        return self.ansatz_base(a, b) + V / self.Wvec[:, None]
+        return self.profile_ext(a, b, V)[self.win]
 
     def profile_derivative(self, a, b, V):
         dbase = self.dchi[:, None] * (self.E @ (a - b))[None, :]
         return dbase + self.unweighted_derivative(V)
 
-    def ansatz_base(self, a, b):
-        return (self.chi_p[:, None] * (self.E @ a)[None, :]
-                + self.chi_m[:, None] * (self.E @ b)[None, :])
-
-    def conv_ansatz(self, a, b):
-        """(K' * F(Ubar))(x) for the slowly varying ansatz part.
-
-        Trapezoid on the extended grid, explicit kink correction at the
-        diagonal, and exact constant tails beyond the extension.
-        """
-        ea, eb = self.E @ a, self.E @ b
-        Ubar_ext = (self.chi_p_ext[:, None] * ea[None, :]
-                    + self.chi_m_ext[:, None] * eb[None, :])
-        F_ext = self.model.flux_F(Ubar_ext)
-        out = np.einsum("xmij,mj->xi", self.Cext, F_ext)
-        Ubar = self.ansatz_base(a, b)
-        dUbar = self.dchi[:, None] * (ea - eb)[None, :]
-        FU = self.model.flux_F(Ubar)
-        dFU = np.einsum("mij,mj->mi", self.model.dflux_F(Ubar), dUbar)
-        out = out + self.cc * (FU @ self.j1.T - dFU @ self.j0.T)
-        out = out + np.einsum("mij,j->mi", self.tail_right,
-                              self.model.flux_F(ea[None, :])[0])
-        out = out + np.einsum("mij,j->mi", self.tail_left,
-                              self.model.flux_F(eb[None, :])[0])
-        return out
-
     def residual(self, z):
         a, b, V = self.unpack(z)
-        U = self.profile(a, b, V)
+        U_ext = self.profile_ext(a, b, V)
+        F_ext = self.model.flux_F(U_ext)
+        U, FU = U_ext[self.win], F_ext[self.win]
         Up = self.profile_derivative(a, b, V)
-        FU = self.model.flux_F(U)
-        dF_compact = FU - self.model.flux_F(self.ansatz_base(a, b))
-        R = self.conv_ansatz(a, b)
-        R = R + (self.Cmat @ dF_compact.reshape(-1)).reshape(self.m, self.n)
+        R = (self.C @ F_ext.reshape(-1)).reshape(self.m, self.n)
+        R = R + np.einsum("mij,j->mi", self.tail_right,
+                          self.model.flux_F((self.E @ a)[None, :])[0])
+        R = R + np.einsum("mij,j->mi", self.tail_left,
+                          self.model.flux_F((self.E @ b)[None, :])[0])
         R = R + FU @ np.real(self.K_jump).T
         dGU = self.model.dflux_G(U)
         R = R + np.einsum("mij,mj->mi", dGU, Up)
@@ -323,9 +290,10 @@ class _ShockSystem(WeightedWindow):
         dGU = self.model.dflux_G(U)
 
         invW = 1.0 / self.Wvec
-        # d/dV of F(U): (C + I kron K_jump) times the block diagonal of
-        # Fu(U) / W, multiplied block by block
-        A = self.Cmat + np.kron(np.eye(m), np.real(self.K_jump))
+        # d/dV of F(U): (C on the window columns + I kron K_jump) times
+        # the block diagonal of Fu(U) / W, multiplied block by block
+        Cwin = self.C[:, self.win.start * n:self.win.stop * n]
+        A = Cwin + np.kron(np.eye(m), np.real(self.K_jump))
         JV = np.einsum("rik,ikj->rij", A.reshape(m * n, m, n),
                        dFU * invW[:, None, None]).reshape(m * n, m * n)
         # d/dV of dG(U) U': quadratic-G term plus transport of the derivative,

@@ -5,10 +5,12 @@ hyperbolicity.  The net number of characteristic roots moving from the
 left half-plane to the right across all crossings is the crossing
 number, and the Fredholm index of the associated operator equals its
 negative.  Crossings are found as zeros of the nonnegative hyperbolicity
-margin, refined by golden-section; the root bookkeeping near a crossing
-is stabilized by shrinking the counting boxes until two consecutive
-halvings agree.  When both limits are rational, the crossings are
-audited against the exact axis windings of `specflow.rational`.
+margin, refined by golden-section.  The axis roots at a crossing are the
+margin's own refined dips; on either side of it, two winding counts per
+axis frequency (left and right half-boxes) give the side counts, and the
+boxes shrink until two consecutive halvings agree.  When both limits are
+rational, the crossings are audited against the exact axis windings of
+`specflow.rational`.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charmatrix import (_sigma_min_axis, axis_cutoff, axis_margin, char_eval,
+from .charmatrix import (_axis_dips, _dips, axis_margin, char_eval,
                          is_hyperbolic)
 from .errors import (ConfigurationError, ContourThroughRoot,
                      CrossingsUnresolved, EndpointNotHyperbolic,
                      InconclusiveCount)
 from .rational import axis_winding
-from .roots import Rectangle, _rho_derivative, count_roots, locate_roots
+from .roots import Rectangle, _rho_derivative, count_roots
 from .symbols import OperatorFamily, weight_shift
 
 __all__ = [
@@ -87,17 +89,6 @@ def _golden_minimize(f, a, b, tol):
     return x, f(x)
 
 
-def _dips(vals, trigger):
-    """Indices of interior local minima low enough to hide a zero.
-
-    A zero hidden between samples shows up as a local minimum no larger
-    than the local slope times the sample step (plus `trigger`).
-    """
-    c, lo, hi = vals[1:-1], vals[:-2], vals[2:]
-    slope = np.maximum(np.abs(c - lo), np.abs(hi - c))
-    return np.nonzero((c <= lo) & (c <= hi) & (c < 1.5 * slope + trigger))[0] + 1
-
-
 def _sampled_zeros(family, xs, vs, depth):
     """Margin zeros near the dips of the margin samples vs at xs, in scan order.
 
@@ -130,23 +121,18 @@ def _bracket_zeros(family, lo, hi, depth):
     return _sampled_zeros(family, xs, _margins(family, xs), depth - 1)
 
 
-def _axis_roots_at(symbol, cap):
+def _axis_roots_at(symbol):
     """Axis roots as (ell, multiplicity) at a non-hyperbolic symbol.
 
-    Frequencies are where the axis margin function vanishes: located by
-    a dense scan plus golden refinement, then each frequency gets its
-    own small counting rectangle for the multiplicity.  This avoids
-    subdividing a box whose roots sit exactly on every cut line.
+    Frequencies are the dips of the axis margin (`_axis_dips`) that reach
+    below 1e-7; each gets its own small counting rectangle for the
+    multiplicity.  This avoids subdividing a box whose roots sit exactly
+    on every cut line.
     """
-    m0 = max(1025, int(min(16 * cap, 8193)) | 1)
-    ells = np.linspace(-cap, cap, m0)
-    sig = _sigma_min_axis(symbol, ells)
-    f = lambda l: float(_sigma_min_axis(symbol, np.array([l]))[0])
     freqs = []
-    for k in _dips(sig, 1e-5):
-        lstar, mstar = _golden_minimize(f, ells[k - 1], ells[k + 1], 1e-13)
-        if mstar < 1e-7 and not any(abs(lstar - q) < 1e-6 for q in freqs):
-            freqs.append(lstar)
+    for sig, ell in _axis_dips(symbol, all_zeros=True):
+        if sig < 1e-7 and not any(abs(ell - q) < 1e-6 for q in freqs):
+            freqs.append(ell)
     freqs.sort()
     sep = min((abs(a - b) for a in freqs for b in freqs if a != b),
               default=np.inf)
@@ -160,26 +146,18 @@ def _axis_roots_at(symbol, cap):
 
 
 def _side_counts(family, rho, ells, d_loc, r_loc):
-    """(M_left, M_right) root counts near the listed axis frequencies."""
+    """(M_left, M_right): winding counts in the half-boxes [-d_loc, 0] and
+    [0, d_loc] around each axis frequency, never jittered across the axis."""
     sym = family.at(rho)
-    left = right = 0
-    for ell in ells:
-        box = Rectangle(-d_loc, d_loc, ell - r_loc, ell + r_loc)
-        rs = locate_roots(sym, box)
-        for nu, m in rs.roots:
-            if nu.real > 1e-11:
-                right += m
-            elif nu.real < -1e-11:
-                left += m
-            else:
-                raise ContourThroughRoot("root still on the axis off-crossing")
-    return left, right
+    return tuple(sum(count_roots(sym, Rectangle(lo, hi, ell - r_loc, ell + r_loc),
+                                 _allow_jitter=False) for ell in ells)
+                 for lo, hi in ((-d_loc, 0.0), (0.0, d_loc)))
 
 
 def _crossing_at(family, rho_j, grid_step):
     """Classify the crossing at rho_j: axis roots and side counts."""
     sym = family.at(rho_j)
-    axis = _axis_roots_at(sym, axis_cutoff(sym))
+    axis = _axis_roots_at(sym)
     if not axis:
         return None  # refined minimum was not an actual crossing
     M = sum(m for _, m in axis)
@@ -187,7 +165,7 @@ def _crossing_at(family, rho_j, grid_step):
     min_sep = min((abs(a - b) for a in ells for b in ells if a != b),
                   default=np.inf)
 
-    d_loc = min(0.2, 0.45 * family.at(rho_j).eta)
+    d_loc = min(0.2, 0.45 * sym.eta)
     r_loc = min(0.2, 0.3 * min_sep if np.isfinite(min_sep) else 0.2)
     d_rho = min(0.5 * grid_step, 0.05)
 

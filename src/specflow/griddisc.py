@@ -369,7 +369,7 @@ class NullityResult:
 
 
 def nullity(gridop, tol_ratio=_TOL_RATIO):
-    """Numerical kernel dimension from the singular value spectrum.
+    """Numerical kernel dimension of a GridOperator from its singular values.
 
     The cut is placed at the largest ratio gap among singular values
     below the median; a best gap under `tol_ratio` flags the result as
@@ -404,8 +404,7 @@ def nullity(gridop, tol_ratio=_TOL_RATIO):
     weight rate until the reported dimension stabilizes is the caller's
     convergence test.
     """
-    M = gridop.matrix if isinstance(gridop, GridOperator) else gridop
-    s, right_vectors = _partial_svd(M)
+    s, right_vectors = _partial_svd(gridop.matrix)
     return _classify_spectrum(gridop, s, right_vectors, tol_ratio)
 
 
@@ -530,12 +529,7 @@ def _classify_spectrum(gridop, s, right_vectors, tol_ratio=_TOL_RATIO):
     dim_raw = k + 1
     tol_abs = float(np.sqrt(s[k] * s[k + 1]))
 
-    if isinstance(gridop, GridOperator):
-        m = gridop.node_count
-        n = gridop.n
-    else:
-        m = gridop.shape[0]
-        n = 1
+    m, n = gridop.node_count, gridop.n
     edge_nodes = max(2, int(np.ceil(_EDGE_FRACTION * m)))
     mask = np.zeros(m, dtype=bool)
     mask[:edge_nodes] = True

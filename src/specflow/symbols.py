@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StripViolation
+from .errors import ConfigurationError, StripViolation
 from .kernels import KernelSpec, SumKernel
 
 __all__ = [
@@ -56,20 +56,24 @@ class Symbol:
         shifts = tuple(s if isinstance(s, ShiftTerm) else ShiftTerm(*s)
                        for s in self.shifts)
         object.__setattr__(self, "shifts", shifts)
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if self.n < 1:
+            raise ConfigurationError(f"dimension n must be at least 1, got {self.n}")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ConfigurationError(f"eta must be finite and positive, got {self.eta}")
         if self.kernel is not None:
             if self.kernel.n != self.n:
-                raise ValueError("kernel dimension mismatch")
+                raise ConfigurationError("kernel dimension mismatch")
             if self.eta >= self.kernel.strip:
                 raise StripViolation(
                     f"eta = {self.eta:g} must be < kernel strip {self.kernel.strip:g}")
         xis = [s.xi for s in shifts]
         if len(set(xis)) != len(xis):
-            raise ValueError("shift offsets must be pairwise distinct")
+            raise ConfigurationError("shift offsets must be pairwise distinct")
         for s in shifts:
             if s.A.shape != (self.n, self.n):
-                raise ValueError("shift matrix dimension mismatch")
+                raise ConfigurationError("shift matrix dimension mismatch")
+            if not (np.isfinite(s.xi) and np.all(np.isfinite(s.A))):
+                raise ConfigurationError("shift offsets and matrices must be finite")
         norms = tuple(float(np.linalg.norm(s.A, 2)) for s in shifts)
         object.__setattr__(self, "shift_norms", norms)
         loc = sum(a * np.exp(self.eta * abs(s.xi)) for s, a in zip(shifts, norms))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from specflow import charmatrix
 from specflow.charmatrix import (adjoint_symbol, char_eval, det_values,
                                  is_hyperbolic)
+from specflow.errors import ConfigurationError
 from specflow.kernels import exponential_kernel
 from specflow.roots import Rectangle, count_roots
 from specflow.symbols import ShiftTerm, Symbol
@@ -74,6 +76,66 @@ def test_hyperbolicity_exponential_cubic():
     coeffs = exp_kernel_char_poly(2.0, 1.0, -2.0)
     assert all(abs(r.real) > 1e-8 for r in np.roots(coeffs))
     assert is_hyperbolic(sym).hyperbolic
+
+
+def _reference_axis_margin(symbol):
+    """axis_margin with its coarse minima found by a Python loop."""
+    cap = charmatrix.axis_cutoff(symbol)
+    m0 = max(257, int(min(8 * cap, 2049)) | 1)
+    ells = np.linspace(-cap, cap, m0)
+    sig = charmatrix._sigma_min_axis(symbol, ells)
+    idx = [k for k in range(1, m0 - 1)
+           if sig[k] <= sig[k - 1] and sig[k] <= sig[k + 1]]
+    idx.sort(key=lambda k: sig[k])
+    cands = [k for k in idx if sig[k] <= max(100.0 * sig.min(), 1e-3)][:8]
+    best, where = np.inf, float(ells[int(np.argmin(sig))])
+    for k in cands or [int(np.argmin(sig))]:
+        b, w = float(sig[k]), float(ells[k])
+        step = ells[1] - ells[0]
+        for _ in range(charmatrix._REFINE_ROUNDS):
+            step = step / 8.0
+            local = w + step * np.arange(-8, 9)
+            lsig = charmatrix._sigma_min_axis(symbol, local)
+            if lsig.min() < b:
+                b, w = float(lsig.min()), float(local[int(np.argmin(lsig))])
+            if step < 1e-13 * max(1.0, cap):
+                break
+        if b < best:
+            best, where = b, w
+    return best, where
+
+
+def test_axis_margin_matches_loop_reference(rng):
+    # the coarse minima come from one numpy expression; the same
+    # candidates in the same order give bit-identical margins
+    for k in range(16):
+        make = random_scalar_symbol if k % 2 else random_2x2_symbol
+        sym = make(rng, want_hyperbolic=False)
+        assert charmatrix.axis_margin(sym) == _reference_axis_margin(sym)
+    for shift in (-1.0, -0.5, 0.3):   # an axis root at ell = 0 for -1.0
+        sym = Symbol(1, exponential_kernel(2.0, [[1.0]]),
+                     (ShiftTerm(0.0, [[shift]]),), 1.5)
+        assert charmatrix.axis_margin(sym) == _reference_axis_margin(sym)
+
+
+def test_hyperbolicity_refuses_nan_samples(monkeypatch):
+    # a NaN margin never clears an interval: it must be refused before
+    # the refinement, never certified
+    monkeypatch.setattr(charmatrix, "_sigma_min_axis",
+                        lambda sym, ells: np.full(np.shape(ells), np.nan))
+    monkeypatch.setattr(charmatrix, "_MAX_ROUNDS", 3)
+    sym = Symbol(1, None, (ShiftTerm(0.0, [[1.0]]),), 2.0)
+    with pytest.raises(ConfigurationError):
+        is_hyperbolic(sym)
+
+
+def test_hyperbolicity_inconclusive_when_rounds_run_out(monkeypatch):
+    # a small margin that never clears within the rounds is no certificate
+    monkeypatch.setattr(charmatrix, "_sigma_min_axis",
+                        lambda sym, ells: np.full(np.shape(ells), 1e-6))
+    monkeypatch.setattr(charmatrix, "_MAX_ROUNDS", 3)
+    res = is_hyperbolic(Symbol(1, None, (ShiftTerm(0.0, [[1.0]]),), 2.0))
+    assert not res.hyperbolic and res.inconclusive
 
 
 def test_axis_consistency_with_root_counts(rng):

@@ -163,6 +163,13 @@ def _rule_config(expr):
                      "shift_matrix_exprs": [[expr]]}}
 
 
+def _pair_with(**keys):
+    """A symbol pair whose two limits take the given keys."""
+    limit = dict({"n": 1, "eta": 2.0, "shifts": [{"xi": 0.0, "A": [[1.0]]}]},
+                 **keys)
+    return {"s_minus": limit, "s_plus": limit}
+
+
 @pytest.mark.parametrize("config", [
     {"path": {"type": "mystery"}},
     # expressions outside the arithmetic grammar are never evaluated
@@ -176,14 +183,50 @@ def _rule_config(expr):
     # instead of running for ever in big-integer arithmetic
     _rule_config("9**9**9"),
     _rule_config("1" * 400),
+    _pair_with(shifts=[{"xi": 0.0, "A": []}]),
+    _pair_with(n=0, shifts=[]),
+    _pair_with(eta=float("nan")),
+    # an infinite offset makes the axis Lipschitz bound infinite
+    _pair_with(shifts=[{"xi": float("inf"), "A": [[1.0]]}]),
 ], ids=["unknown_path", "attribute", "import", "subscript", "lambda", "bad_n",
-        "path_not_object", "integer_tower", "huge_literal"])
+        "path_not_object", "integer_tower", "huge_literal", "empty_matrix",
+        "n_zero", "eta_nan", "xi_infinite"])
 def test_invalid_schema_exit_code(tmp_path, config):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     rc = run(["index", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert read_json(tmp_path, "error.json")["kind"] == "configuration"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("flux", "F2", [1.0]),
+    ("flux", "G2", [[[1.0, 0.0]]]),
+    ("source", "vector", [1.0, 2.0]),
+], ids=["F2_shape", "G2_shape", "vector_length"])
+def test_invalid_shock_schema_exit_code(tmp_path, section, key, value):
+    cfg = json.loads((CONFIGS / "shock_scalar.json").read_text())
+    cfg[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = run(["shock", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration" and key in err["error"]
+
+
+def test_unexpected_exception_exits_internal(tmp_path, monkeypatch):
+    from specflow import cli
+
+    def broken(args, outdir):
+        raise RuntimeError("unclassified failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "index", broken)
+    rc = run(["index", "--config", str(CONFIGS / "tanh_scalar.json"),
+              "--out", str(tmp_path)])
+    assert rc == 3
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "internal" and "RuntimeError" in err["error"]
 
 
 def test_specmap_missing_lambda_matrix_exit_code(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from specflow.conslaw import (ShockModel, characteristic_speeds,
+from specflow.conslaw import (ShockModel, _ShockSystem, characteristic_speeds,
                               jump_leading_order, linearization_index,
                               shock_profile, zero_speed_selection)
 from specflow.errors import DegeneracyViolated, SingularMatrix
@@ -224,3 +225,26 @@ def test_zero_speed_grid_oracle_agreement_resolved_window():
     assert (idx, nf.dim, na.dim) == (-2, 0, 2)
     assert min(nf.gap, na.gap) >= 1e3
     assert idx == linearization_index(model, 0.3) == -2
+
+
+@pytest.mark.parametrize("kernel", [exponential_kernel(2.0, [[1.0]]),
+                                    one_sided_exponential_kernel(1.0, [[1.0]])],
+                         ids=["exponential", "one_sided"])
+def test_shock_convolution_matches_quadrature(kernel):
+    # the layer's one K' convolution (extended-grid rows plus the exact
+    # constant tails) on F = tanh, against adaptive quadrature
+    model = ShockModel(n=1, kernel=kernel, dF=[[1.0]], dG=[[1.0]],
+                       source=gaussian_source([1.0]), eta=0.45)
+    sys = _ShockSystem(model, Grid(L=30.0, h=0.05), np.zeros(1), 0.0)
+    conv = (sys.C @ np.tanh(sys.x_ext) + sys.tail_right[:, 0, 0]
+            - sys.tail_left[:, 0, 0])
+    dK, _ = kernel.derivative()
+
+    def integrand(y, x):
+        return float(np.real(dK.value(np.array([x - y]))[0, 0, 0])) * np.tanh(y)
+
+    for i in np.searchsorted(sys.x, [-20.0, -3.0, -0.5, 0.0, 0.7, 2.5, 20.0]):
+        x = sys.x[i]
+        ref = (quad(integrand, -np.inf, x, args=(x,), epsabs=1e-12)[0]
+               + quad(integrand, x, np.inf, args=(x,), epsabs=1e-12)[0])
+        assert abs(conv[i] - ref) < 1e-6

@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specflow import flow
+from specflow import configio, flow
+from specflow.charmatrix import _sigma_min_axis, axis_cutoff
 from specflow.cli import run
-from specflow.errors import EndpointNotHyperbolic
+from specflow.errors import ContourThroughRoot, EndpointNotHyperbolic
 from specflow.flow import (cocycle_check, crossing_number, find_crossings,
                            fredholm_index, weighted_index)
 from specflow.kernels import exponential_kernel
@@ -16,6 +18,8 @@ from specflow.symbols import (OperatorFamily, ShiftTerm, Symbol,
 
 from conftest import (random_2x2_symbol, random_scalar_symbol,
                       sampled_axis_winding as axis_winding)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
 
 
 def tanh_family(sign=+1.0):
@@ -52,11 +56,15 @@ def test_constant_family_no_crossings():
     assert fredholm_index(sym, sym) == 0
 
 
-def test_block_family_opposite_crossings():
+def block_family():
     def rule(rho):
         A = np.array([[np.tanh(rho), 0.0], [0.0, -np.tanh(rho - 5.0)]])
         return Symbol(2, None, (ShiftTerm(0.0, A),), 2.0)
-    fam = OperatorFamily.from_rule(rule, -10.0, 12.0)
+    return OperatorFamily.from_rule(rule, -10.0, 12.0)
+
+
+def test_block_family_opposite_crossings():
+    fam = block_family()
     fr = crossing_number(fam)
     contribs = sorted(c.contribution for c in fr.crossings)
     assert contribs == [-1, 1]
@@ -228,3 +236,112 @@ def test_unreconciled_audit_exits_numerical(tmp_path, monkeypatch):
     err = json.loads((tmp_path / "error.json").read_text())
     assert err["kind"] == "numerical"
     assert not (tmp_path / "result.json").exists()
+
+
+# -- reference oracles for the crossing classification ------------------------
+
+def _reference_axis_freqs(symbol):
+    """Axis-root frequencies from a dense scan with golden refinement.
+
+    The flow once ran this second scan itself; it now reads the dips of
+    the axis margin.
+    """
+    cap = axis_cutoff(symbol)
+    m0 = max(1025, int(min(16 * cap, 8193)) | 1)
+    ells = np.linspace(-cap, cap, m0)
+    sig = _sigma_min_axis(symbol, ells)
+
+    def f(ell):
+        return float(_sigma_min_axis(symbol, np.array([ell]))[0])
+
+    freqs = []
+    for k in flow._dips(sig, 1e-5):
+        ell, m = flow._golden_minimize(f, ells[k - 1], ells[k + 1], 1e-13)
+        if m < 1e-7 and not any(abs(ell - q) < 1e-6 for q in freqs):
+            freqs.append(ell)
+    return sorted(freqs)
+
+
+def _reference_side_counts(family, rho, ells, d_loc, r_loc):
+    """(M_left, M_right) from located, Newton-polished roots."""
+    sym = family.at(rho)
+    left = right = 0
+    for ell in ells:
+        box = Rectangle(-d_loc, d_loc, ell - r_loc, ell + r_loc)
+        for nu, m in locate_roots(sym, box).roots:
+            if abs(nu.real) <= 1e-11:
+                raise ContourThroughRoot("root on the axis off-crossing")
+            left += m * (nu.real < 0)
+            right += m * (nu.real > 0)
+    return left, right
+
+
+def _complex_family():
+    # d(nu) = nu - c(rho) - K_hat(nu) with a complex c: the crossing root
+    # leaves the axis at a nonzero frequency
+    s0, s1 = (Symbol(1, exponential_kernel(2.0, [[0.5]]),
+                     (ShiftTerm(0.0, [[c + 0.8j]]),), 1.5) for c in (-0.6, 0.6))
+    return OperatorFamily.affine_homotopy(s0, s1)
+
+
+def coincident_family():
+    # diag(nu - tanh rho, nu - tanh rho - 0.8i): both blocks cross at
+    # rho = 0, one at ell = 0 on the axis grid and one at ell = 0.8 between
+    # its samples, where the coarse margin sits far above the other dip
+    def rule(rho):
+        t = np.tanh(rho)
+        return Symbol(2, None, (ShiftTerm(0.0, np.diag([t, t + 0.8j])),), 2.0)
+    return OperatorFamily.from_rule(rule, -3.0, 3.0)
+
+
+def test_coincident_crossings_at_two_frequencies():
+    fr = crossing_number(coincident_family())
+    assert [c.M for c in fr.crossings] == [2]
+    assert fr.index == -2
+    ells = [ell for ell, _ in fr.crossings[0].axis_roots]
+    assert np.allclose(ells, [0.0, 0.8], atol=1e-9)
+
+
+def _families():
+    tanh = configio.family_from_json(
+        configio.load_config(CONFIGS / "tanh_scalar.json"))
+    pair = configio.load_config(CONFIGS / "mult2_pair.json")
+    mult2 = OperatorFamily.affine_homotopy(
+        configio.symbol_from_json(pair["s_minus"]),
+        configio.symbol_from_json(pair["s_plus"]))
+    return {"tanh_scalar": tanh, "mult2_pair": mult2, "block": block_family(),
+            "complex": _complex_family(), "coincident": coincident_family()}
+
+
+@pytest.mark.parametrize("name", ["tanh_scalar", "mult2_pair", "block",
+                                  "complex", "coincident"])
+def test_crossing_classification_matches_reference_oracles(name):
+    fam = _families()[name]
+    crossings = find_crossings(fam)
+    assert crossings
+    step = (fam.rho_max - fam.rho_min) / 399
+    for c in crossings:
+        sym = fam.at(c.rho)
+        ells = [ell for ell, _ in flow._axis_roots_at(sym)]
+        ref = _reference_axis_freqs(sym)
+        assert len(ells) == len(ref)
+        assert np.max(np.abs(np.subtract(ells, ref))) < 1e-9
+        # the box schedule of flow._crossing_at, from its first size on
+        sep = min((abs(a - b) for a in ells for b in ells if a != b),
+                  default=np.inf)
+        d_loc = min(0.2, 0.45 * sym.eta)
+        r_loc = min(0.2, 0.3 * sep if np.isfinite(sep) else 0.2)
+        d_rho = min(0.5 * step, 0.05)
+        compared = 0
+        for _ in range(6):
+            for rho in (c.rho - d_rho, c.rho + d_rho):
+                try:
+                    got = flow._side_counts(fam, rho, ells, d_loc, r_loc)
+                    want = _reference_side_counts(fam, rho, ells, d_loc, r_loc)
+                except ContourThroughRoot:
+                    continue
+                assert got == want
+                assert sum(got) == c.M
+                compared += 1
+            d_loc, r_loc, d_rho = 0.5 * d_loc, 0.5 * r_loc, 0.25 * d_rho
+        assert compared >= 6
