@@ -355,11 +355,6 @@ def run(argv=None):
                     {"error": str(exc), "kind": "numerical"})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except SpecflowError as exc:
-        _write_json(outdir, "error.json",
-                    {"error": str(exc), "kind": type(exc).__name__})
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         # last resort: a failure the library did not classify
         _write_json(outdir, "error.json",

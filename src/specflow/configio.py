@@ -255,11 +255,19 @@ def _array(v, shape, path):
     return arr
 
 
+def _positive(value, path):
+    """A finite positive float, else a ConfigurationError at `path`."""
+    x = float(value)
+    if not (np.isfinite(x) and x > 0):
+        _fail(path, f"must be finite and positive, got {value!r}")
+    return x
+
+
 def _source_from_json(spec, n, path="source"):
     kind = spec.get("type")
     if kind == "gaussian":
         vec = _array(spec["vector"], (n,), path + ".vector")
-        width = float(spec.get("width", 1.0))
+        width = _positive(spec.get("width", 1.0), path + ".width")
         center = float(spec.get("center", 0.0))
 
         def H(x):
@@ -269,7 +277,7 @@ def _source_from_json(spec, n, path="source"):
     if kind == "moment":
         # x * gaussian in a single component: odd first-moment source
         vec = _array(spec["vector"], (n,), path + ".vector")
-        width = float(spec.get("width", 1.0))
+        width = _positive(spec.get("width", 1.0), path + ".width")
 
         def H(x):
             x = np.asarray(x, dtype=float)
@@ -307,15 +315,15 @@ def shock_model_from_json(spec, path="shock"):
     source = _source_from_json(spec["source"], n, path + ".source")
     return ShockModel(
         n=n, kernel=kernel, dF=dF, dG=dG, source=source, F2=F2, G2=G2,
-        eps_max=float(spec.get("eps_max", 0.05)),
-        eta=float(spec.get("eta", 0.25)))
+        eps_max=_positive(spec.get("eps_max", 0.05), path + ".eps_max"),
+        eta=_positive(spec.get("eta", 0.25), path + ".eta"))
 
 
 def _potential_from_json(spec, path):
     kind = spec.get("type", "gaussian")
     if kind == "gaussian":
         amp = float(spec.get("amplitude", 1.0))
-        width = float(spec.get("width", 1.0))
+        width = _positive(spec.get("width", 1.0), path + ".width")
         center = float(spec.get("center", 0.0))
 
         def V(x):

@@ -27,10 +27,12 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
 
-from .charmatrix import _cauchy_derivatives, axis_cutoff, char_eval, delta_eval
-from .errors import CompatibilityViolated, GenericityViolated, RankMismatch
+from .charmatrix import _cauchy_derivatives, axis_cutoff, delta_eval
+from .errors import (CompatibilityViolated, GenericityViolated, NewtonDiverged,
+                     RankMismatch)
 from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
                        newton_solve)
+from .roots import Rectangle, newton_root
 from .symbols import ShiftTerm, Symbol
 
 __all__ = [
@@ -282,23 +284,18 @@ def smooth_ramp(xi):
 def dispersion_root(model, gamma, branch, slope):
     """Root nu of d(nu, gamma^2) = 0 continued from branch * slope * gamma.
 
-    `slope` is EdgeData.slope, sqrt(-2 d_lambda / d_nunu).  Newton steps
-    are clamped inside the strip; an overshooting step is halved rather
-    than evaluated past the analyticity boundary.
+    `slope` is EdgeData.slope, sqrt(-2 d_lambda / d_nunu).  The Newton
+    run of `roots.newton_root` stays in |Re nu| <= 0.95 eta, so d is never
+    evaluated past the analyticity boundary; a run that does not converge
+    raises NewtonDiverged.
     """
-    sym = model.symbol_at(gamma * gamma)
-    nu = complex(branch * slope * gamma)
     cap = 0.95 * model.eta
-    for _ in range(60):
-        ce = char_eval(sym, nu, orders=(0, 1))
-        if ce.d1 in (None, 0):
-            break
-        step = ce.d / ce.d1
-        while abs((nu - step).real) >= cap and abs(step) > 1e-16:
-            step *= 0.5
-        nu = nu - step
-        if abs(step) < 1e-14 * (1 + abs(nu)):
-            break
+    nu = newton_root(model.symbol_at(gamma * gamma), branch * slope * gamma,
+                     Rectangle(-cap, cap, -np.inf, np.inf))
+    if nu is None:
+        raise NewtonDiverged(
+            f"dispersion root nu_{'+' if branch > 0 else '-'} did not "
+            f"converge at gamma = {gamma:.6g}")
     return nu
 
 

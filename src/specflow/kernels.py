@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.special import erfc
 
-from .errors import QuadratureTail, StripViolation
+from .errors import ConfigurationError, QuadratureTail, StripViolation
 
 __all__ = [
     "KernelSpec", "ExpPolyKernel", "GaussianKernel", "SampledKernel",
@@ -30,9 +30,9 @@ __all__ = [
 def _as_matrix(M, n=None):
     A = np.atleast_2d(np.asarray(M))
     if A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise ConfigurationError(f"expected a square matrix, got shape {A.shape}")
     if n is not None and A.shape[0] != n:
-        raise ValueError(f"expected dimension {n}, got {A.shape[0]}")
+        raise ConfigurationError(f"expected dimension {n}, got {A.shape[0]}")
     return A
 
 
@@ -159,13 +159,13 @@ class ExpPolyKernel(KernelSpec):
         for side, rate, power, C in terms:
             side = int(side)
             if side not in (+1, -1):
-                raise ValueError("term side must be +1 or -1")
+                raise ConfigurationError("term side must be +1 or -1")
             rate = float(rate)
             if rate <= 0:
-                raise ValueError("term rate must be positive")
+                raise ConfigurationError("term rate must be positive")
             power = int(power)
             if power < 0:
-                raise ValueError("term power must be >= 0")
+                raise ConfigurationError("term power must be >= 0")
             clean.append((side, rate, power, _as_matrix(C, self.n).astype(complex)))
         self.terms = tuple(clean)
         self._norms = tuple(_spec_norm(C) for _, _, _, C in self.terms)
@@ -301,7 +301,7 @@ class GaussianKernel(KernelSpec):
         self.n = int(n)
         self.sigma = float(sigma)
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ConfigurationError("sigma must be positive")
         self.mu = float(mu)
         self.poly = tuple(complex(c) for c in poly)
         self.M = _as_matrix(M, self.n).astype(complex)
@@ -347,7 +347,7 @@ class GaussianKernel(KernelSpec):
             amp = (_poly_val(_poly_deriv(R1), nu) + 2 * a * _poly_val(R1, nu)
                    + (a * a + s2) * Rv)
         else:
-            raise ValueError("order must be 0, 1 or 2")
+            raise ConfigurationError("order must be 0, 1 or 2")
         return (amp * core)[..., None, None] * self.M
 
     def value(self, zeta):
@@ -447,7 +447,7 @@ class SampledKernel(KernelSpec):
         if samples.ndim == 1:
             samples = samples[:, None, None]
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-            raise ValueError("samples must have shape (m, n, n)")
+            raise ConfigurationError("samples must have shape (m, n, n)")
         self.h = float(h)
         self.samples = samples
         self.n = samples.shape[1]
@@ -456,7 +456,7 @@ class SampledKernel(KernelSpec):
         self.grid = -self.R + self.h * np.arange(m)
         self.eta0 = float(eta0)
         if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+            raise ConfigurationError("eta0 must be positive")
         self.tol_tail = float(tol_tail)
         norms = np.linalg.norm(samples, axis=(1, 2))
         self._max_norm = float(norms.max()) if m else 0.0
@@ -587,11 +587,11 @@ class SumKernel(KernelSpec):
             elif p is not None:
                 flat.append((w, p))
         if not flat:
-            raise ValueError("SumKernel needs at least one part")
+            raise ConfigurationError("SumKernel needs at least one part")
         self.terms = tuple(flat)
         self.n = self.terms[0][1].n
         if any(p.n != self.n for _, p in self.terms):
-            raise ValueError("kernel dimensions differ")
+            raise ConfigurationError("kernel dimensions differ")
 
     @property
     def strip(self):

@@ -4,9 +4,11 @@ Counting uses the argument principle along rectangle contours with
 adaptive phase sampling: every contour segment is bisected until its
 phase increment is below pi/2, so the winding number is unambiguous.
 Location quadrisects rectangles until leaves hold a single root (Newton
-polished, Muller fallback) or collapse onto a multiple root.
+polished) or collapse onto a multiple root.
 Continuation follows a simple root across a parameter interval with an
 Euler predictor from implicit differentiation and a Newton corrector.
+Every refinement of a root is one `newton_root` run, a Newton iteration
+on d or d' whose steps are halved to stay inside a given rectangle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (ConfigurationError, ContourThroughRoot,
 
 __all__ = [
     "Rectangle", "RootSet", "RootTrajectory", "count_roots", "locate_roots",
-    "track_root",
+    "newton_root", "track_root",
 ]
 
 _CONTOUR_MIN_ABS = 1e-12
@@ -31,6 +33,8 @@ _JITTER_FACTORS = tuple(1.0 + 0.013 * k for k in range(11))
 _LEAF_DIAMETER = 1e-8       # quadrisection floor of locate_roots
 _MAX_DEPTH = 60
 _RESIDUAL_TOL = 1e-10       # relative |d| accepted by the track_root corrector
+_NEWTON_TOL = 1e-12         # relative step that ends newton_root
+_NEWTON_STEPS = 60
 _DERIVATIVE_FLOOR = 1e-10   # |d'| below this ends a track as a collision
 _MAX_STEPS = 100000
 
@@ -183,75 +187,31 @@ def count_roots(symbol, box, _allow_jitter=True):
         f"could not move the contour off a root after jitter: {last}")
 
 
-def _newton_polish(symbol, nu0, box, tol=1e-12, max_iter=50):
-    """Newton on d with Muller fallback; returns refined root or None."""
-    nu = complex(nu0)
-    guard = 2.0 * box.diameter + 1e-6
-    prev_step = np.inf
-    for _ in range(max_iter):
-        try:
-            ce = char_eval(symbol, nu, orders=(0, 1))
-        except StripViolation:
-            break
-        if ce.d1 is None or ce.d1 == 0:
-            break
-        step = ce.d / ce.d1
-        nu_new = nu - step
-        if abs(nu_new - box.center) > guard:
-            break
-        if abs(step) < tol * (1.0 + abs(nu)):
-            return nu_new
-        if abs(step) > 0.75 * prev_step and abs(step) < 1e-9:
-            return nu_new  # stagnation at rounding level
-        prev_step = abs(step)
-        nu = nu_new
-    return _muller(symbol, complex(nu0), box, tol=tol)
+def newton_root(symbol, nu, region, order=0):
+    """Newton on d (order 0) or on d' (order 1) from nu inside `region`.
 
-
-def _polish_double(symbol, nu0, tol=1e-13, max_iter=60):
-    """Newton on d' refines a double root (simple zero of d')."""
-    nu = complex(nu0)
-    for _ in range(max_iter):
-        try:
-            ce = char_eval(symbol, nu, orders=(0, 1, 2))
-        except StripViolation:
-            return None
-        if ce.d1 is None or ce.d2 in (None, 0):
-            return None
-        step = ce.d1 / ce.d2
-        nu = nu - step
-        if abs(step) < tol * (1 + abs(nu)):
-            return nu
-    return None
-
-
-def _muller(symbol, nu0, box, tol=1e-12, max_iter=60):
-    h = max(1e-6, 1e-3 * box.diameter)
-    xs = [nu0 - h, nu0 + h, nu0]
-    try:
-        fs = [complex(det_values(symbol, np.array(x))) for x in xs]
-    except StripViolation:
+    A step that would leave the closed rectangle `region` is halved until
+    it lands inside, so for a region inside the strip d is never
+    evaluated outside it.  The run ends at the first untruncated step
+    below _NEWTON_TOL relative to 1 + |nu|.  Returns the root, or None
+    when nu starts outside `region`, d^(order+1) vanishes or the step is
+    not finite, or _NEWTON_STEPS steps do not converge.
+    """
+    nu = complex(nu)
+    if not region.contains(nu):
         return None
-    for _ in range(max_iter):
-        x0, x1, x2 = xs[-3], xs[-2], xs[-1]
-        f0, f1, f2 = fs[-3], fs[-2], fs[-1]
-        q = (x2 - x1) / (x1 - x0) if x1 != x0 else 0.5
-        a = q * f2 - q * (1 + q) * f1 + q * q * f0
-        b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q * q * f0
-        c = (1 + q) * f2
-        disc = np.sqrt(b * b - 4 * a * c) if a != 0 or b != 0 else 0.0
-        den1, den2 = b + disc, b - disc
-        den = den1 if abs(den1) >= abs(den2) else den2
-        if den == 0:
+    orders = (0, 1, 2)[:order + 2]
+    for _ in range(_NEWTON_STEPS):
+        ce = char_eval(symbol, nu, orders)
+        f, df = (ce.d, ce.d1) if order == 0 else (ce.d1, ce.d2)
+        if df is None or df == 0 or not np.isfinite(f / df):
             return None
-        x3 = x2 - (x2 - x1) * 2 * c / den
-        if abs(x3 - x2) < tol * (1 + abs(x3)):
-            return x3
-        xs.append(x3)
-        try:
-            fs.append(complex(det_values(symbol, np.array(x3))))
-        except StripViolation:
-            return None
+        full = step = f / df
+        while not region.contains(nu - step):
+            step *= 0.5
+        nu -= step
+        if step == full and abs(step) < _NEWTON_TOL * (1 + abs(nu)):
+            return nu
     return None
 
 
@@ -270,7 +230,7 @@ def locate_roots(symbol, box):
     def cluster(b, count):
         center = b.center
         if count == 2:
-            polished = _polish_double(symbol, center)
+            polished = newton_root(symbol, center, box, order=1)
             if polished is not None and b.contains(polished, pad=b.diameter):
                 center = polished
         found.append((center, count))
@@ -282,9 +242,9 @@ def locate_roots(symbol, box):
             cluster(b, count)
             return
         if count == 1:
-            nu = _newton_polish(symbol, b.center, b)
-            # accept only a polished root that stays in this box; a Newton
-            # run can escape to a far root, in which case we keep splitting
+            nu = newton_root(symbol, b.center, box)
+            # accept only a polished root that stays in this leaf; a Newton
+            # run can reach a root of another leaf, in which case we split
             if nu is not None and b.contains(nu, pad=1e-9 + 1e-6 * b.diameter):
                 found.append((nu, 1))
                 return
@@ -349,8 +309,10 @@ def track_root(family, rho0, nu0, rho1):
     """Continue a simple root of d_rho from rho0 towards rho1.
 
     Predictor: Euler step with nu_dot = -(d d/d rho)/(d d/d nu), the rho
-    derivative taken by central differences.  Corrector: Newton in nu at
-    the stepped parameter with adaptive step halving.  Terminates at
+    derivative taken by central differences.  Corrector: `newton_root` in
+    the strip at the stepped parameter, accepted when |d| is at most
+    _RESIDUAL_TOL (1 + |nu0|); otherwise the parameter step is halved.
+    A predictor outside the strip fails the step.  Terminates at
     rho1, on leaving the strip, or when the nu-derivative collapses
     (root collision).
     """
@@ -376,8 +338,7 @@ def track_root(family, rho0, nu0, rho1):
         traj.nus.append(nu)
         traj.nu_dots.append(nud)
 
-    d1 = ce.d1
-    nud = -_rho_derivative(family, rho, nu) / d1
+    nud = -_rho_derivative(family, rho, nu) / ce.d1
     record(rho, nu, nud)
 
     for _ in range(_MAX_STEPS):
@@ -387,49 +348,32 @@ def track_root(family, rho0, nu0, rho1):
         h = min(step, abs(rho1 - rho))
         while True:
             rho_try = rho + direction * h
-            nu_pred = nu + direction * h * nud
-            ok, nu_corr, d1_corr = _newton_correct(family.at(rho_try), nu_pred,
-                                                   scale)
-            if ok:
-                break
+            sym = family.at(rho_try)
+            eta = np.nextafter(sym.eta, 0.0)
+            nu_corr = newton_root(sym, nu + direction * h * nud,
+                                  Rectangle(-eta, eta, -np.inf, np.inf))
+            if nu_corr is not None:
+                ce = char_eval(sym, nu_corr, orders=(0, 1))
+                if abs(ce.d) <= _RESIDUAL_TOL * scale:
+                    break
             h *= 0.5
             if h < min_step:
                 traj.status = "lost"
                 raise LostTrack(
                     f"corrector diverged near rho = {rho:.6g} at floor step")
         rho, nu = rho_try, nu_corr
-        sym = family.at(rho)
         if abs(nu.real) > 0.98 * sym.eta:
             record(rho, nu, nud)
             traj.status = "left strip"
             return traj
-        if d1_corr is None or abs(d1_corr) < _DERIVATIVE_FLOOR:
+        if abs(ce.d1) < _DERIVATIVE_FLOOR:
             record(rho, nu, nud)
             traj.status = "merged"
             return traj
-        nud = -_rho_derivative(family, rho, nu) / d1_corr
+        nud = -_rho_derivative(family, rho, nu) / ce.d1
         record(rho, nu, nud)
         cap = max(abs(nud), 1e-3)
         step = min(span / 20.0, max(min_step * 10, 0.05 / cap))
     traj.status = "lost"
     raise LostTrack("step budget exhausted")
 
-
-def _newton_correct(symbol, nu, scale, max_iter=8):
-    for _ in range(max_iter):
-        try:
-            ce = char_eval(symbol, nu, orders=(0, 1))
-        except StripViolation:
-            return False, nu, None
-        if ce.d1 is None or ce.d1 == 0:
-            return False, nu, None
-        delta = ce.d / ce.d1
-        nu = nu - delta
-        if abs(delta) < 1e-13 * (1 + abs(nu)):
-            break
-    try:
-        d_final = complex(det_values(symbol, np.array(nu)))
-        ce = char_eval(symbol, nu, orders=(0, 1))
-    except StripViolation:
-        return False, nu, None
-    return abs(d_final) <= _RESIDUAL_TOL * scale, nu, ce.d1

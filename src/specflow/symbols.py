@@ -113,7 +113,7 @@ def fourier_eval(kernel, nu, order=0):
     when a sampled kernel violates its declared decay at truncation.
     """
     if kernel is None:
-        raise ValueError("fourier_eval needs a kernel; use Symbol.khat for symbols")
+        raise ConfigurationError("fourier_eval needs a kernel; use Symbol.khat for symbols")
     kernel.check_strip(nu)
     return kernel.transform(nu, order)
 
@@ -148,7 +148,7 @@ def weight_shift(symbol, gamma):
 def combine_symbols(s0, s1, w0, w1):
     """Entrywise affine combination w0*s0 + w1*s1 on the narrower strip."""
     if s0.n != s1.n:
-        raise ValueError("dimension mismatch")
+        raise ConfigurationError("dimension mismatch")
     terms = [(w, s.kernel) for w, s in ((w0, s0), (w1, s1))
              if s.kernel is not None and w != 0.0]
     kernel = SumKernel(terms) if terms else None
@@ -174,7 +174,7 @@ class OperatorFamily:
     def __init__(self, rho_min, rho_max, evaluate, s_minus, s_plus,
                  differentiable=True):
         if not rho_min < rho_max:
-            raise ValueError("need rho_min < rho_max")
+            raise ConfigurationError("need rho_min < rho_max")
         self.rho_min = float(rho_min)
         self.rho_max = float(rho_max)
         self._evaluate = evaluate
@@ -182,7 +182,7 @@ class OperatorFamily:
         self.s_plus = s_plus
         self.differentiable = differentiable
         if s_minus.n != s_plus.n:
-            raise ValueError("endpoint dimensions differ")
+            raise ConfigurationError("endpoint dimensions differ")
         self.n = s_minus.n
 
     def at(self, rho):
@@ -200,7 +200,7 @@ class OperatorFamily:
     def tabulated(cls, points):
         pts = sorted(points, key=lambda p: p[0])
         if len(pts) < 2:
-            raise ValueError("a tabulated path needs at least two points")
+            raise ConfigurationError("a tabulated path needs at least two points")
         rhos = np.array([p[0] for p in pts])
         syms = [p[1] for p in pts]
 

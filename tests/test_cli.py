@@ -203,16 +203,43 @@ def test_invalid_schema_exit_code(tmp_path, config):
     ("flux", "F2", [1.0]),
     ("flux", "G2", [[[1.0, 0.0]]]),
     ("source", "vector", [1.0, 2.0]),
-], ids=["F2_shape", "G2_shape", "vector_length"])
+    # a NaN bound makes the |eps| guard always false
+    (None, "eps_max", float("nan")),
+    (None, "eta", float("nan")),
+], ids=["F2_shape", "G2_shape", "vector_length", "eps_max_nan", "eta_nan"])
 def test_invalid_shock_schema_exit_code(tmp_path, section, key, value):
     cfg = json.loads((CONFIGS / "shock_scalar.json").read_text())
-    cfg[section][key] = value
+    (cfg if section is None else cfg[section])[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     rc = run(["shock", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     err = read_json(tmp_path, "error.json")
     assert err["kind"] == "configuration" and key in err["error"]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "moment"])
+def test_shock_source_zero_width_exit_code(tmp_path, kind):
+    cfg = json.loads((CONFIGS / "shock_scalar.json").read_text())
+    cfg["source"].update(type=kind, width=0.0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = run(["shock", "--config", str(bad), "--eps", "0.001",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration" and "source.width" in err["error"]
+
+
+def test_edge_potential_zero_width_exit_code(tmp_path):
+    cfg = json.loads((CONFIGS / "schrodinger_well.json").read_text())
+    cfg["perturbation"]["V"]["width"] = 0.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = run(["edge", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration" and "V.width" in err["error"]
 
 
 def test_unexpected_exception_exits_internal(tmp_path, monkeypatch):
@@ -227,6 +254,17 @@ def test_unexpected_exception_exits_internal(tmp_path, monkeypatch):
     assert rc == 3
     err = read_json(tmp_path, "error.json")
     assert err["kind"] == "internal" and "RuntimeError" in err["error"]
+
+
+def test_edge_dispersion_root_failure_exits_numerical(tmp_path, monkeypatch):
+    from specflow import edgebif
+
+    monkeypatch.setattr(edgebif, "newton_root", lambda *args, **kwargs: None)
+    rc = run(["edge", "--config", str(CONFIGS / "schrodinger_well.json"),
+              "--out", str(tmp_path), "--eps", "0.04"])
+    assert rc == 3
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "numerical" and "dispersion root" in err["error"]
 
 
 def test_specmap_missing_lambda_matrix_exit_code(tmp_path):

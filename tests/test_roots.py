@@ -4,7 +4,9 @@ import pytest
 from specflow.charmatrix import det_values
 from specflow.kernels import (ExpPolyKernel, GaussianKernel,
                               exponential_kernel)
-from specflow.roots import Rectangle, count_roots, locate_roots, track_root
+from specflow import roots
+from specflow.roots import (Rectangle, count_roots, locate_roots, newton_root,
+                            track_root)
 from specflow.symbols import (OperatorFamily, ShiftTerm, Symbol,
                               weight_shift)
 
@@ -82,13 +84,48 @@ def test_count_additivity_under_partition(rng):
 def test_newton_returns_after_perturbation():
     sym = cubic_symbol()
     rs = locate_roots(sym, Rectangle(-1.9, 1.9, -6, 6))
-    from specflow.roots import _newton_polish
     for nu, m in rs.roots:
         if m > 1:
             continue
         box = Rectangle(nu.real - 0.1, nu.real + 0.1, nu.imag - 0.1, nu.imag + 0.1)
-        again = _newton_polish(sym, nu + 1e-3, box)
+        again = newton_root(sym, nu + 1e-3, box)
         assert abs(again - nu) < 1e-9
+
+
+def diagonal_roots(a, b, eta):
+    """d(nu) = (nu - a)(nu - b) from a diagonal shift matrix."""
+    return Symbol(2, None, (ShiftTerm(0.0, np.diag([a, b])),), eta)
+
+
+@pytest.mark.parametrize("a, b, nu0, expected", [
+    # d' is small at the start: the full step lands at 4.5, past the strip
+    (0.3, -0.3, 0.01, 0.3),
+    # near the edge the step heads for the root at 1.2 outside the strip
+    (0.3, 1.2, 0.8, None),
+], ids=["overshoot", "root_outside"])
+def test_newton_steps_stay_in_region(monkeypatch, a, b, nu0, expected):
+    sym = diagonal_roots(a, b, 0.9)
+    region = Rectangle(-0.85, 0.85, -0.5, 0.5)
+    seen = []
+    original = roots.char_eval
+
+    def recording(symbol, nu, orders=(0,)):
+        seen.append(complex(nu))
+        return original(symbol, nu, orders)
+
+    monkeypatch.setattr(roots, "char_eval", recording)
+    nu = newton_root(sym, nu0, region)
+    assert len(seen) > 1 and all(region.contains(z) for z in seen)
+    if expected is None:
+        assert nu is None
+    else:
+        assert abs(nu - expected) < 1e-12
+
+
+def test_newton_none_where_derivative_vanishes():
+    # d'(0) = 0 exactly for (nu - 0.3)(nu + 0.3)
+    sym = diagonal_roots(0.3, -0.3, 0.9)
+    assert newton_root(sym, 0.0, Rectangle(-0.5, 0.5, -0.5, 0.5)) is None
 
 
 def test_conjugate_symmetry_real_symbol(rng):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from specflow.charmatrix import delta_eval
-from specflow.errors import StripViolation
-from specflow.kernels import exponential_kernel, gaussian_kernel
+from specflow.errors import ConfigurationError, StripViolation
+from specflow.kernels import (ExpPolyKernel, GaussianKernel, SampledKernel,
+                              SumKernel, exponential_kernel, gaussian_kernel)
 from specflow.symbols import (OperatorFamily, ShiftTerm, Symbol,
-                              check_hypotheses, weight_shift)
+                              check_hypotheses, combine_symbols, fourier_eval,
+                              weight_shift)
 
 from conftest import random_scalar_symbol
 
@@ -18,6 +20,36 @@ def test_symbol_validation():
         Symbol(1, K, (ShiftTerm(0.0, [[1.0]]), ShiftTerm(0.0, [[2.0]])), 1.0)
     sym = Symbol(1, K, (ShiftTerm(1.0, [[0.5]]),), 1.0)
     assert sym.loc_norm == pytest.approx(0.5 * np.e, rel=1e-12)
+
+
+def _scalar(n=1):
+    return Symbol(n, None, (ShiftTerm(0.0, np.eye(n)),), 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exponential_kernel(2.0, [[1.0, 0.0]]),
+    lambda: ExpPolyKernel(1, [(0, 1.0, 0, [[1.0]])]),
+    lambda: ExpPolyKernel(1, [(1, -1.0, 0, [[1.0]])]),
+    lambda: ExpPolyKernel(1, [(1, 1.0, -1, [[1.0]])]),
+    lambda: GaussianKernel(1, 0.0, [[1.0]]),
+    lambda: gaussian_kernel(1.0, [[1.0]]).transform(0.0, 3),
+    lambda: SampledKernel(0.1, np.ones((3, 1, 2)), 1.0),
+    lambda: SampledKernel(0.1, np.ones(3), 0.0),
+    lambda: SumKernel([]),
+    lambda: SumKernel([(1.0, exponential_kernel(2.0, [[1.0]])),
+                       (1.0, exponential_kernel(2.0, np.eye(2)))]),
+    lambda: fourier_eval(None, 0.0),
+    lambda: combine_symbols(_scalar(1), _scalar(2), 0.5, 0.5),
+    lambda: OperatorFamily.affine_homotopy(_scalar(), _scalar(), 1.0, 0.0),
+    lambda: OperatorFamily.affine_homotopy(_scalar(1), _scalar(2)),
+    lambda: OperatorFamily.tabulated([(0.0, _scalar())]),
+], ids=["matrix_shape", "term_side", "term_rate", "term_power", "sigma",
+        "gaussian_order", "samples_shape", "eta0", "empty_sum",
+        "sum_dimensions", "fourier_without_kernel", "combine_dimensions",
+        "rho_order", "endpoint_dimensions", "one_point_table"])
+def test_preconditions_raise_configuration_error(build):
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 def test_weight_shift_identity_and_zero(rng):
