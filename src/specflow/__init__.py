@@ -28,7 +28,7 @@ from .kernels import (ExpPolyKernel, GaussianKernel, KernelSpec,
                       sample_kernel)
 from .roots import (Rectangle, RootSet, RootTrajectory, count_roots,
                     locate_roots, track_root)
-from .symbols import (OperatorFamily, ShiftTerm, Symbol, check_hypotheses,
-                      combine_symbols, fourier_eval, weight_shift)
+from .symbols import (OperatorFamily, ShiftTerm, Symbol, combine_symbols,
+                      weight_shift)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, StripViolation
+from .errors import ConfigurationError
 from .symbols import ShiftTerm, Symbol
 
 __all__ = [
@@ -56,13 +56,6 @@ def det_values(symbol, nu):
     return np.linalg.det(delta_eval(symbol, nu))
 
 
-def _check_strip(symbol, nu):
-    re = np.max(np.abs(np.real(np.asarray(nu))))
-    if re >= symbol.eta:
-        raise StripViolation(
-            f"|Re nu| = {re:g} outside the strip |Re nu| < {symbol.eta:g}")
-
-
 @dataclass
 class CharEval:
     """Point evaluation of the characteristic data at nu."""
@@ -97,7 +90,7 @@ def char_eval(symbol, nu, orders=(0,)):
     accurate at and near roots of d.
     """
     nu = complex(nu)
-    _check_strip(symbol, nu)
+    symbol.check_strip(nu)
     orders = set(orders) | {0}
     Delta = delta_eval(symbol, nu)
     d = complex(np.linalg.det(Delta))
@@ -133,7 +126,7 @@ def axis_cutoff(symbol):
     crude n* factor plus 1 leaves slack.
     """
     kb = symbol.kernel.l1_bound() if symbol.kernel is not None else 0.0
-    return symbol.n * (kb + symbol.shift_norm_sum()) + 1.0
+    return symbol.n * (kb + sum(symbol.shift_norms)) + 1.0
 
 
 def axis_lipschitz(symbol):

@@ -141,9 +141,8 @@ def linearization_symbol(model):
     the symbol data, on 0.9 of the kernel's strip.
     """
     dGinv = np.linalg.inv(model.dG)
-    dK, jump = model.kernel.derivative()
-    kernel = dK.sandwich(-dGinv, model.dF)
-    shifts = [ShiftTerm(0.0, -dGinv @ jump @ model.dF)]
+    kernel = model.kernel.derivative().sandwich(-dGinv, model.dF)
+    shifts = [ShiftTerm(0.0, -dGinv @ model.kernel.jump() @ model.dF)]
     return Symbol(model.n, kernel, tuple(shifts), 0.9 * kernel.strip)
 
 
@@ -180,14 +179,13 @@ class ShockSolution:
     W: np.ndarray                      # localized correction, (m, n)
     residual: float
     iterations: int
-    basis: np.ndarray = None           # eigenbasis columns e_j
+    basis: np.ndarray                  # eigenbasis columns e_j
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def jump(self):
         """State-space jump U(+inf) - U(-inf)."""
-        d = self.a - self.b
-        return d if self.basis is None else self.basis @ d
+        return self.basis @ (self.a - self.b)
 
 
 class _ShockSystem(WeightedWindow):
@@ -218,7 +216,8 @@ class _ShockSystem(WeightedWindow):
         # only on quantities that vanish there; the constant tails beyond
         # the extension are exact.  One matrix holds the window rows of the
         # extended-grid convolution.
-        dK, self.K_jump = model.kernel.derivative()
+        dK = model.kernel.derivative()
+        self.K_jump = model.kernel.jump()
         next_ = int(round(12.0 / self.h))
         self.win = slice(next_, next_ + self.m)
         self.x_ext = x_ext = -grid.L + self.h * np.arange(-next_, self.m + next_)

@@ -11,8 +11,10 @@ convolution row (`_conv_row`) and shifts, and the constant symbol, the
 xi-dependent operator and its adjoint only supply their row data.
 
 The same discretization kit serves the two Newton applications: the
-trapezoid-plus-kink convolution matrix, the difference matrices, the
-weighted window of a decaying correction, and one damped Newton solver.
+trapezoid-plus-kink convolution matrix (its corrections read the jumps
+of K and K' at 0 from `KernelSpec.jump`), the fourth-order difference
+matrix, the weighted window of a decaying correction, and one damped
+Newton solver.
 
 Kernel and cokernel dimensions are then estimated from the singular
 value spectrum: truncation perturbs exact zero singular values to
@@ -47,7 +49,7 @@ from .symbols import OperatorFamily, Symbol
 __all__ = [
     "Grid", "GridOperator", "NullityResult", "assemble", "nullity",
     "index_estimate", "solve_inhomogeneous", "weight_exponent",
-    "trapezoid_weights", "centred_d1", "fd4_matrix", "conv_matrix",
+    "trapezoid_weights", "fd4_matrix", "conv_matrix",
     "WeightedWindow", "newton_solve", "fd_columns",
 ]
 
@@ -136,15 +138,6 @@ def trapezoid_weights(m, h):
     return w
 
 
-def centred_d1(m, h):
-    """Second-order centred first derivative; the two boundary rows are 0."""
-    D = np.zeros((m, m))
-    r = np.arange(1, m - 1)
-    D[r, r - 1] = -0.5 / h
-    D[r, r + 1] = 0.5 / h
-    return D
-
-
 def fd4_matrix(m, h):
     """Fourth-order first-derivative matrix with one-sided closures."""
     D = np.zeros((m, m))
@@ -165,10 +158,10 @@ def _part(dtype):
 
 
 def _edge_data(kernel, part):
-    """(K(0-), K(0+), j0, j1): one-sided values and kink jumps at zeta = 0."""
-    j0, j1 = kernel.kink_jumps()
+    """(K(0-), K(0+), j0, j1): one-sided values and the jumps of K and K'."""
     return tuple(part(v) for v in (kernel.value_one_sided(-1),
-                                   kernel.value_one_sided(+1), j0, j1))
+                                   kernel.value_one_sided(+1), kernel.jump(),
+                                   kernel.derivative().jump()))
 
 
 def _conv_row(i, vals, edge, w_quad, h):
@@ -214,8 +207,11 @@ def conv_matrix(kernel, m, n, h, dtype=complex):
 
 
 def _derivative_matrix(m, h):
-    """centred_d1 with one-sided second-order rows at both ends."""
-    D = centred_d1(m, h)
+    """Second-order centred first derivative, one-sided at both ends."""
+    D = np.zeros((m, m))
+    r = np.arange(1, m - 1)
+    D[r, r - 1] = -0.5 / h
+    D[r, r + 1] = 0.5 / h
     D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
     D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return D

@@ -7,6 +7,11 @@ Closed-form families (one-sided exponential-polynomial terms, Gaussians
 with polynomial prefactors) evaluate the transform and its first two
 nu-derivatives exactly; sampled kernels use corrected trapezoid sums.
 
+The behaviour at zeta = 0 comes from one place, the one-sided limits
+`value_one_sided(+-1)`: `jump()` is their difference, the Dirac weight
+that `derivative()` (the smooth part only) leaves out, and
+`derivative().jump()` is the kink that grid quadrature corrects for.
+
 All evaluation methods broadcast over arrays of nu (or zeta) and return
 arrays of shape nu.shape + (n, n).
 """
@@ -33,7 +38,17 @@ def _as_matrix(M, n=None):
         raise ConfigurationError(f"expected a square matrix, got shape {A.shape}")
     if n is not None and A.shape[0] != n:
         raise ConfigurationError(f"expected dimension {n}, got {A.shape[0]}")
+    if not np.all(np.isfinite(A)):
+        raise ConfigurationError("matrix entries must be finite")
     return A
+
+
+def _positive(name, x):
+    """x as a float, which must be finite and positive."""
+    x = float(x)
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {x}")
+    return x
 
 
 def _spec_norm(M):
@@ -79,10 +94,10 @@ class KernelSpec:
         raise NotImplementedError
 
     def derivative(self):
-        """Distributional derivative d/dzeta K.
+        """Smooth part of the distributional derivative d/dzeta K.
 
-        Returns (smooth_part, jump) where jump = K(0+) - K(0-) is the
-        coefficient of the Dirac term created by a discontinuity at 0.
+        A discontinuity at 0 adds the Dirac term jump() * delta, which
+        is not part of the returned kernel.
         """
         raise NotImplementedError
 
@@ -90,19 +105,17 @@ class KernelSpec:
         """Kernel left @ K(zeta) @ right for constant matrices left, right."""
         raise NotImplementedError
 
-    def kink_jumps(self):
-        """Jumps (K(0+) - K(0-), K'(0+) - K'(0-)) at the origin.
-
-        Used for quadrature corrections; kernels smooth at 0 return
-        zeros, sampled kernels return zeros as kinks in user data are
-        not reliably detectable.
-        """
-        z = np.zeros((self.n, self.n), dtype=complex)
-        return z, z
-
     def value_one_sided(self, side):
-        """One-sided limit K(0+) (side=+1) or K(0-) (side=-1)."""
+        """One-sided limit K(0+) (side=+1) or K(0-) (side=-1).
+
+        Kernels continuous at 0 return K(0); sampled kernels too, as a
+        jump in user data is not reliably detectable.
+        """
         return self.value(np.zeros(1))[0]
+
+    def jump(self):
+        """Jump K(0+) - K(0-) at the origin; derivative().jump() is the kink."""
+        return self.value_one_sided(+1) - self.value_one_sided(-1)
 
     # -- bounds used by hyperbolicity certificates -----------------------
 
@@ -119,18 +132,9 @@ class KernelSpec:
     def scaled(self, c):
         return SumKernel([(c, self)])
 
-    def __add__(self, other):
-        return SumKernel([(1.0, self), (1.0, other)])
-
     def head_transform(self, t, nu):
         """integral_{s <= t} K(s) exp(-nu s) ds."""
         return self.transform(nu, 0) - self.tail_transform(t, nu)
-
-    def check_strip(self, nu):
-        re = np.max(np.abs(np.real(np.asarray(nu))))
-        if re >= self.strip:
-            raise StripViolation(
-                f"|Re nu| = {re:g} is not inside the strip |Re nu| < {self.strip:g}")
 
 
 def _upper_exp_poly(tau, beta, p):
@@ -160,9 +164,7 @@ class ExpPolyKernel(KernelSpec):
             side = int(side)
             if side not in (+1, -1):
                 raise ConfigurationError("term side must be +1 or -1")
-            rate = float(rate)
-            if rate <= 0:
-                raise ConfigurationError("term rate must be positive")
+            rate = _positive("term rate", rate)
             power = int(power)
             if power < 0:
                 raise ConfigurationError("term power must be >= 0")
@@ -247,19 +249,12 @@ class ExpPolyKernel(KernelSpec):
             if p > 0:
                 terms.append((side, b, p - 1, side * p * C))
             terms.append((side, b, p, -side * b * C))
-        jump = self.value_one_sided(+1) - self.value_one_sided(-1)
-        return ExpPolyKernel(self.n, terms), jump
+        return ExpPolyKernel(self.n, terms)
 
     def sandwich(self, left, right):
         L, R = _as_matrix(left, self.n), _as_matrix(right, self.n)
         return ExpPolyKernel(self.n, [(side, b, p, L @ C @ R)
                                       for side, b, p, C in self.terms])
-
-    def kink_jumps(self):
-        j0 = self.value_one_sided(+1) - self.value_one_sided(-1)
-        deriv, _ = self.derivative()
-        j1 = deriv.value_one_sided(+1) - deriv.value_one_sided(-1)
-        return j0, j1
 
     def value_one_sided(self, side):
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -299,9 +294,7 @@ class GaussianKernel(KernelSpec):
 
     def __init__(self, n, sigma, M, mu=0.0, poly=(1.0,)):
         self.n = int(n)
-        self.sigma = float(sigma)
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
+        self.sigma = _positive("sigma", sigma)
         self.mu = float(mu)
         self.poly = tuple(complex(c) for c in poly)
         self.M = _as_matrix(M, self.n).astype(complex)
@@ -409,7 +402,7 @@ class GaussianKernel(KernelSpec):
         for k, c in enumerate(p):
             new[k + 1] -= c / s2
         return GaussianKernel(self.n, self.sigma, self.M, mu=self.mu,
-                              poly=tuple(new)), np.zeros((self.n, self.n))
+                              poly=tuple(new))
 
     def sandwich(self, left, right):
         L, R = _as_matrix(left, self.n), _as_matrix(right, self.n)
@@ -448,16 +441,16 @@ class SampledKernel(KernelSpec):
             samples = samples[:, None, None]
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise ConfigurationError("samples must have shape (m, n, n)")
-        self.h = float(h)
+        if not np.all(np.isfinite(samples)):
+            raise ConfigurationError("samples must be finite")
+        self.h = _positive("h", h)
         self.samples = samples
         self.n = samples.shape[1]
         m = samples.shape[0]
         self.R = 0.5 * (m - 1) * self.h
         self.grid = -self.R + self.h * np.arange(m)
-        self.eta0 = float(eta0)
-        if self.eta0 <= 0:
-            raise ConfigurationError("eta0 must be positive")
-        self.tol_tail = float(tol_tail)
+        self.eta0 = _positive("eta0", eta0)
+        self.tol_tail = _positive("tol_tail", tol_tail)
         norms = np.linalg.norm(samples, axis=(1, 2))
         self._max_norm = float(norms.max()) if m else 0.0
         self._tail_ok = (norms[0] <= self.tol_tail * self._max_norm
@@ -477,6 +470,12 @@ class SampledKernel(KernelSpec):
         z = self.grid
         phase = np.exp(-nu[..., None] * z) * (-z) ** order
         return phase[..., :, None, None] * self.samples
+
+    def check_strip(self, nu):
+        re = np.max(np.abs(np.real(np.asarray(nu))))
+        if re >= self.strip:
+            raise StripViolation(
+                f"|Re nu| = {re:g} is not inside the strip |Re nu| < {self.strip:g}")
 
     def transform(self, nu, order=0):
         self._require_tail()
@@ -554,8 +553,7 @@ class SampledKernel(KernelSpec):
 
     def derivative(self):
         d = np.gradient(self.samples, self.h, axis=0)
-        return (SampledKernel(self.h, d, self.eta0, tol_tail=1.0),
-                np.zeros((self.n, self.n)))
+        return SampledKernel(self.h, d, self.eta0, tol_tail=1.0)
 
     def sandwich(self, left, right):
         L, R = _as_matrix(left, self.n), _as_matrix(right, self.n)
@@ -613,24 +611,10 @@ class SumKernel(KernelSpec):
         return SumKernel([(np.conj(w), p.adjoint()) for w, p in self.terms])
 
     def derivative(self):
-        parts, jump = [], np.zeros((self.n, self.n), dtype=complex)
-        for w, p in self.terms:
-            dp, j = p.derivative()
-            parts.append((w, dp))
-            jump = jump + w * j
-        return SumKernel(parts), jump
+        return SumKernel([(w, p.derivative()) for w, p in self.terms])
 
     def sandwich(self, left, right):
         return SumKernel([(w, p.sandwich(left, right)) for w, p in self.terms])
-
-    def kink_jumps(self):
-        j0 = np.zeros((self.n, self.n), dtype=complex)
-        j1 = np.zeros((self.n, self.n), dtype=complex)
-        for w, p in self.terms:
-            a, b = p.kink_jumps()
-            j0 = j0 + w * a
-            j1 = j1 + w * b
-        return j0, j1
 
     def value_one_sided(self, side):
         return sum(w * p.value_one_sided(side) for w, p in self.terms)
@@ -660,6 +644,7 @@ def one_sided_exponential_kernel(a, M, side=+1):
 def gaussian_kernel(sigma, M):
     """Normalized Gaussian (2 pi sigma^2)^(-1/2) exp(-zeta^2/2sigma^2) M."""
     M = _as_matrix(M)
+    sigma = _positive("sigma", sigma)
     return GaussianKernel(M.shape[0], sigma, M,
                           poly=(1.0 / math.sqrt(2 * math.pi * sigma * sigma),))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .charmatrix import char_eval, det_values
 from .errors import (ConfigurationError, ContourThroughRoot,
-                     InconclusiveCount, LostTrack, NotARoot, StripViolation)
+                     InconclusiveCount, LostTrack, NotARoot)
 
 __all__ = [
     "Rectangle", "RootSet", "RootTrajectory", "count_roots", "locate_roots",
@@ -98,13 +98,6 @@ class RootSet:
         return sum(m for _, m in self.roots)
 
 
-def _require_inside_strip(symbol, box):
-    if max(abs(box.re_lo), abs(box.re_hi)) >= symbol.eta:
-        raise StripViolation(
-            f"rectangle Re range [{box.re_lo:g}, {box.re_hi:g}] leaves the "
-            f"strip |Re nu| < {symbol.eta:g}")
-
-
 def _winding_number(symbol, box):
     """Adaptive-phase winding number of d along the rectangle boundary.
 
@@ -171,7 +164,7 @@ def count_roots(symbol, box, _allow_jitter=True):
     expanded through the deterministic factor sequence 1 + 0.013k,
     k = 1..10, so repeated runs give identical integers.
     """
-    _require_inside_strip(symbol, box)
+    symbol.check_strip([box.re_lo, box.re_hi])
     factors = _JITTER_FACTORS if _allow_jitter else _JITTER_FACTORS[:1]
     last = None
     for f in factors:

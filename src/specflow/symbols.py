@@ -9,6 +9,11 @@ constant-coefficient operator
 through its transform data.  An OperatorFamily maps a real parameter to
 Symbols, with identified limits at the interval ends; it models both
 xi-dependent operators and homotopies between constant ones.
+
+The paper's standing hypotheses are enforced where they are used: a
+Symbol refuses a strip wider than its kernel's (StripViolation) and
+evaluation points off its strip (`check_strip`), and the flow certifies
+both limits hyperbolic before it counts crossings (EndpointNotHyperbolic).
 """
 
 from __future__ import annotations
@@ -21,13 +26,8 @@ from .errors import ConfigurationError, StripViolation
 from .kernels import KernelSpec, SumKernel
 
 __all__ = [
-    "ShiftTerm", "Symbol", "OperatorFamily", "HypothesisReport",
-    "fourier_eval", "weight_shift", "combine_symbols", "check_hypotheses",
+    "ShiftTerm", "Symbol", "OperatorFamily", "weight_shift", "combine_symbols",
 ]
-
-_ENDPOINT_PROBES = 5        # axis points of OperatorFamily.endpoint_residual
-_TOL_ENDPOINT = 1e-8        # family invariant: endpoint residual bound
-_TOL_MARGIN = 1e-10         # limit hyperbolicity margins must exceed this
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class Symbol:
     kernel: KernelSpec | None
     shifts: tuple[ShiftTerm, ...]
     eta: float
-    loc_norm: float = field(init=False)
     shift_norms: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
@@ -76,8 +75,13 @@ class Symbol:
                 raise ConfigurationError("shift offsets and matrices must be finite")
         norms = tuple(float(np.linalg.norm(s.A, 2)) for s in shifts)
         object.__setattr__(self, "shift_norms", norms)
-        loc = sum(a * np.exp(self.eta * abs(s.xi)) for s, a in zip(shifts, norms))
-        object.__setattr__(self, "loc_norm", float(loc))
+
+    def check_strip(self, nu):
+        """Raise StripViolation unless every |Re nu| is below eta."""
+        re = np.max(np.abs(np.real(np.asarray(nu))))
+        if re >= self.eta:
+            raise StripViolation(
+                f"|Re nu| = {re:g} outside the strip |Re nu| < {self.eta:g}")
 
     # -- evaluation -----------------------------------------------------
 
@@ -101,21 +105,6 @@ class Symbol:
             probe = self.kernel.value(np.linspace(-2.0, 2.0, 7))
             ker_ok = np.max(np.abs(probe.imag)) < 1e-14 * (1 + np.max(np.abs(probe)))
         return ker_ok and all(np.max(np.abs(s.A.imag)) == 0 for s in self.shifts)
-
-    def shift_norm_sum(self):
-        return sum(self.shift_norms)
-
-
-def fourier_eval(kernel, nu, order=0):
-    """Transform of a kernel (None meaning the zero kernel).
-
-    Raises StripViolation outside the declared strip and QuadratureTail
-    when a sampled kernel violates its declared decay at truncation.
-    """
-    if kernel is None:
-        raise ConfigurationError("fourier_eval needs a kernel; use Symbol.khat for symbols")
-    kernel.check_strip(nu)
-    return kernel.transform(nu, order)
 
 
 def weight_shift(symbol, gamma):
@@ -216,94 +205,3 @@ class OperatorFamily:
     @classmethod
     def from_rule(cls, rule, rho_min, rho_max):
         return cls(rho_min, rho_max, rule, rule(rho_min), rule(rho_max))
-
-    def endpoint_residual(self):
-        """Worst entrywise mismatch of Delta at the interval ends.
-
-        Compared against the declared limits at 5 probe points on the
-        imaginary axis; the family invariant requires <= 1e-8.
-        """
-        from .charmatrix import delta_eval
-        ls = np.linspace(-2.0, 2.0, _ENDPOINT_PROBES)
-        nu = 1j * ls
-        worst = 0.0
-        for rho, ref in ((self.rho_min, self.s_minus), (self.rho_max, self.s_plus)):
-            d_fam = delta_eval(self.at(rho), nu)
-            d_ref = delta_eval(ref, nu)
-            worst = max(worst, float(np.max(np.abs(d_fam - d_ref))))
-        return worst
-
-
-@dataclass
-class HypothesisReport:
-    """Numerical margins for the standing assumptions on a family.
-
-    Margins are nonnegative numbers; the report passes when every margin
-    exceeds its tolerance.  Failures are recorded, never raised.
-    """
-
-    loc_norm_minus: float
-    loc_norm_plus: float
-    shift_sum: float
-    endpoint_residual: float
-    margin_minus: float
-    margin_plus: float
-    strip_bound: float
-    strip_ok: bool
-    failures: list[str]
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
-def check_hypotheses(family):
-    """Verify localization, endpoint convergence and limit hyperbolicity.
-
-    Reporting only: every violated condition appends a line to
-    `failures`, and the margins are returned for inspection.
-    """
-    from .charmatrix import is_hyperbolic
-
-    failures = []
-    sm, sp = family.s_minus, family.s_plus
-    strip_ok = True
-    strip_bound = 0.0
-    for name, sym in (("minus", sm), ("plus", sp)):
-        if sym.kernel is not None:
-            if sym.eta >= sym.kernel.strip:
-                strip_ok = False
-                failures.append(f"strip violation at {name} endpoint")
-            else:
-                res = np.linspace(-0.9 * sym.eta, 0.9 * sym.eta, 5)
-                ims = np.linspace(-8.0, 8.0, 17)
-                nu = (res[:, None] + 1j * ims[None, :]).ravel()
-                try:
-                    strip_bound = max(strip_bound,
-                                      float(np.max(np.abs(sym.khat(nu)))))
-                except Exception as exc:  # sampled tail violations land here
-                    strip_ok = False
-                    failures.append(f"transform evaluation failed at {name}: {exc}")
-    res_end = family.endpoint_residual()
-    if res_end > _TOL_ENDPOINT:
-        failures.append(
-            f"endpoint residual {res_end:.3e} exceeds {_TOL_ENDPOINT:.1e}")
-    hyp_m = is_hyperbolic(sm)
-    hyp_p = is_hyperbolic(sp)
-    if not hyp_m.hyperbolic:
-        failures.append("limit at -infinity is not hyperbolic")
-    if not hyp_p.hyperbolic:
-        failures.append("limit at +infinity is not hyperbolic")
-    if min(hyp_m.margin, hyp_p.margin) <= _TOL_MARGIN:
-        failures.append("hyperbolicity margin below tolerance")
-    return HypothesisReport(
-        loc_norm_minus=sm.loc_norm,
-        loc_norm_plus=sp.loc_norm,
-        shift_sum=max(sm.shift_norm_sum(), sp.shift_norm_sum()),
-        endpoint_residual=res_end,
-        margin_minus=hyp_m.margin,
-        margin_plus=hyp_p.margin,
-        strip_bound=strip_bound,
-        strip_ok=strip_ok,
-        failures=failures,
-    )

@@ -238,7 +238,7 @@ def test_shock_convolution_matches_quadrature(kernel):
     sys = _ShockSystem(model, Grid(L=30.0, h=0.05), np.zeros(1), 0.0)
     conv = (sys.C @ np.tanh(sys.x_ext) + sys.tail_right[:, 0, 0]
             - sys.tail_left[:, 0, 0])
-    dK, _ = kernel.derivative()
+    dK = kernel.derivative()
 
     def integrand(y, x):
         return float(np.real(dK.value(np.array([x - y]))[0, 0, 0])) * np.tanh(y)

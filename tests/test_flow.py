@@ -95,7 +95,8 @@ def test_side_exit_family_still_counts():
     # one-sided kernel whose affine homotopy sends the double root through
     # the axis as a complex pair while a third root exits the strip side
     from specflow.kernels import one_sided_exponential_kernel
-    dK, jump = one_sided_exponential_kernel(1.0, [[1.0]]).derivative()
+    K = one_sided_exponential_kernel(1.0, [[1.0]])
+    dK, jump = K.derivative(), K.jump()
     kern = dK.sandwich([[1.0]], [[-1.0]]).scaled(-1.0)
     sym = Symbol(1, kern, (ShiftTerm(0.0, [[float(jump[0, 0].real)]]),), 0.9)
     assert weighted_index(sym, -0.3, 0.3) == -2

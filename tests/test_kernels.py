@@ -138,8 +138,10 @@ def test_derivative_kernel_transform_identity(rng):
     # transform of dK/dzeta plus the Dirac jump equals nu * K_hat(nu)
     for K in [exponential_kernel(2.0, [[1.0]]),
               one_sided_exponential_kernel(1.2, [[1.0]]),
-              gaussian_kernel(1.1, [[1.0]])]:
-        dK, jump = K.derivative()
+              gaussian_kernel(1.1, [[1.0]]),
+              SumKernel([(0.6, exponential_kernel(2.0, [[1.0]])),
+                         (-1.3, one_sided_exponential_kernel(1.5, [[1.0]]))])]:
+        dK, jump = K.derivative(), K.jump()
         for _ in range(4):
             nu = complex(rng.uniform(-0.8, 0.8), rng.uniform(-3, 3))
             lhs = dK.transform(nu)[0, 0] + jump[0, 0]
@@ -161,9 +163,9 @@ def test_tail_transform_matches_quadrature():
                 ref, abs=1e-10)
 
 
-def test_kink_jumps_exponential():
+def test_jumps_exponential():
     K = exponential_kernel(2.0, [[1.0]])
-    j0, j1 = K.kink_jumps()
+    j0, j1 = K.jump(), K.derivative().jump()
     assert j0[0, 0] == pytest.approx(0.0, abs=1e-14)          # continuous
     assert j1[0, 0] == pytest.approx(-4.0, abs=1e-12)         # slope break
 
@@ -187,7 +189,7 @@ def _evaluations(K):
     out = [K.transform(nu, order) for order in (0, 1, 2)]
     out.append(K.value(np.array([-1.3, -0.02, 0.0, 0.4, 2.2])))
     out.append(K.tail_transform(np.array([-1.7, 0.0, 0.9]), 0.4 + 0.8j))
-    out.extend(K.kink_jumps())
+    out.extend((K.jump(), K.derivative().jump()))
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from specflow.charmatrix import adjoint_symbol, is_hyperbolic
 from specflow.configio import pencil_from_json
 from specflow.flow import fredholm_index
-from specflow.kernels import (ExpPolyKernel, exponential_kernel,
+from specflow.kernels import (ExpPolyKernel, SumKernel, exponential_kernel,
                               gaussian_kernel, sample_kernel)
 from specflow.rational import axis_winding, root_balance
 from specflow.symbols import (ShiftTerm, Symbol, combine_symbols,
@@ -60,8 +60,8 @@ def _variants(sym, rng):
     yield Symbol(n, sym.kernel.sandwich(L, R), sym.shifts, sym.eta)
     yield Symbol(n, sym.kernel.scaled(0.7 - 0.4j), sym.shifts, sym.eta)
     yield combine_symbols(sym, other, 0.35, 0.65)
-    yield Symbol(n, sym.kernel + ExpPolyKernel(
-        n, [(-1, 2.5, 2, 0.4 * L), (1, 2.0, 1, -0.3 * R)]), sym.shifts, sym.eta)
+    extra = ExpPolyKernel(n, [(-1, 2.5, 2, 0.4 * L), (1, 2.0, 1, -0.3 * R)])
+    yield Symbol(n, SumKernel([(1.0, sym.kernel), (1.0, extra)]), sym.shifts, sym.eta)
 
 
 @pytest.mark.parametrize("make", [random_scalar_symbol, random_2x2_symbol])
@@ -82,7 +82,8 @@ def test_not_rational_returns_none():
     assert axis_winding(Symbol(1, K, shifts, 1.5)) == -1
     assert axis_winding(Symbol(1, gaussian_kernel(0.5, [[1.0]]), shifts, 1.5)) is None
     assert axis_winding(Symbol(1, sample_kernel(K, 0.05, 12.0), shifts, 1.5)) is None
-    assert axis_winding(Symbol(1, K + gaussian_kernel(0.5, [[1.0]]), shifts, 1.5)) is None
+    mixed = SumKernel([(1.0, K), (1.0, gaussian_kernel(0.5, [[1.0]]))])
+    assert axis_winding(Symbol(1, mixed, shifts, 1.5)) is None
     assert axis_winding(Symbol(1, K, (ShiftTerm(0.0, [[1.0]]),
                                       ShiftTerm(0.5, [[0.2]])), 1.5)) is None
 

@@ -6,8 +6,7 @@ from specflow.errors import ConfigurationError, StripViolation
 from specflow.kernels import (ExpPolyKernel, GaussianKernel, SampledKernel,
                               SumKernel, exponential_kernel, gaussian_kernel)
 from specflow.symbols import (OperatorFamily, ShiftTerm, Symbol,
-                              check_hypotheses, combine_symbols, fourier_eval,
-                              weight_shift)
+                              combine_symbols, weight_shift)
 
 from conftest import random_scalar_symbol
 
@@ -18,8 +17,6 @@ def test_symbol_validation():
         Symbol(1, K, (), 2.5)          # eta beyond the kernel strip
     with pytest.raises(ValueError):
         Symbol(1, K, (ShiftTerm(0.0, [[1.0]]), ShiftTerm(0.0, [[2.0]])), 1.0)
-    sym = Symbol(1, K, (ShiftTerm(1.0, [[0.5]]),), 1.0)
-    assert sym.loc_norm == pytest.approx(0.5 * np.e, rel=1e-12)
 
 
 def _scalar(n=1):
@@ -38,15 +35,25 @@ def _scalar(n=1):
     lambda: SumKernel([]),
     lambda: SumKernel([(1.0, exponential_kernel(2.0, [[1.0]])),
                        (1.0, exponential_kernel(2.0, np.eye(2)))]),
-    lambda: fourier_eval(None, 0.0),
     lambda: combine_symbols(_scalar(1), _scalar(2), 0.5, 0.5),
     lambda: OperatorFamily.affine_homotopy(_scalar(), _scalar(), 1.0, 0.0),
     lambda: OperatorFamily.affine_homotopy(_scalar(1), _scalar(2)),
     lambda: OperatorFamily.tabulated([(0.0, _scalar())]),
+    lambda: gaussian_kernel(0.0, [[1.0]]),
+    lambda: gaussian_kernel(np.nan, [[1.0]]),
+    lambda: exponential_kernel(np.nan, [[1.0]]),
+    lambda: exponential_kernel(2.0, [[np.nan]]),
+    lambda: ExpPolyKernel(1, [(1, np.inf, 0, [[1.0]])]),
+    lambda: SampledKernel(np.nan, np.ones(3), 1.0),
+    lambda: SampledKernel(0.1, np.ones(3), np.nan),
+    lambda: SampledKernel(0.1, np.ones(3), 1.0, tol_tail=np.nan),
 ], ids=["matrix_shape", "term_side", "term_rate", "term_power", "sigma",
         "gaussian_order", "samples_shape", "eta0", "empty_sum",
-        "sum_dimensions", "fourier_without_kernel", "combine_dimensions",
-        "rho_order", "endpoint_dimensions", "one_point_table"])
+        "sum_dimensions", "combine_dimensions", "rho_order",
+        "endpoint_dimensions", "one_point_table", "gaussian_zero_sigma",
+        "gaussian_nan_sigma", "exponential_nan_rate", "exponential_nan_matrix",
+        "term_infinite_rate", "sampled_nan_h", "sampled_nan_eta0",
+        "sampled_nan_tol_tail"])
 def test_preconditions_raise_configuration_error(build):
     with pytest.raises(ConfigurationError):
         build()
@@ -79,10 +86,13 @@ def test_weight_shift_nonzero_offsets_scale():
 
 
 def test_affine_family_endpoint_agreement(rng):
+    # Delta of the family at rho_min / rho_max matches its declared limits
     s0 = random_scalar_symbol(rng)
     s1 = random_scalar_symbol(rng)
     fam = OperatorFamily.affine_homotopy(s0, s1)
-    assert fam.endpoint_residual() <= 1e-8
+    nu = 1j * np.linspace(-2.0, 2.0, 5)
+    for rho, limit in ((fam.rho_min, fam.s_minus), (fam.rho_max, fam.s_plus)):
+        assert np.abs(delta_eval(fam.at(rho), nu) - delta_eval(limit, nu)).max() <= 1e-8
 
 
 def test_tabulated_family_interpolates(rng):
@@ -95,46 +105,6 @@ def test_tabulated_family_interpolates(rng):
     assert np.abs(delta_eval(mid, np.array(nu)) - ref).max() < 1e-12
 
 
-def test_check_hypotheses_passing(rng):
-    s0 = random_scalar_symbol(rng)
-    s1 = random_scalar_symbol(rng)
-    rep = check_hypotheses(OperatorFamily.affine_homotopy(s0, s1))
-    assert rep.passed
-    assert rep.margin_minus > 0 and rep.margin_plus > 0
-
-
-def test_check_hypotheses_endpoint_mismatch(rng):
-    s0 = random_scalar_symbol(rng)
-    s1 = random_scalar_symbol(rng)
-    other = Symbol(1, gaussian_kernel(1.0, [[0.4]]),
-                   (ShiftTerm(0.0, [[0.9]]),), 1.2)
-    fam = OperatorFamily.tabulated([(0.0, s0), (1.0, s1)])
-    # declare a wrong limit on purpose
-    fam.s_plus = other
-    rep = check_hypotheses(fam)
-    assert not rep.passed
-    assert any("endpoint" in msg for msg in rep.failures)
-
-
-def test_check_hypotheses_nonhyperbolic_limit():
-    sym = Symbol(1, None, (ShiftTerm(0.0, [[0.0]]),), 1.0)  # root on axis
-    fam = OperatorFamily.affine_homotopy(sym, sym)
-    rep = check_hypotheses(fam)
-    assert not rep.passed
-
-
-def test_fourier_eval_frontend():
-    from specflow.symbols import fourier_eval
-    from specflow.kernels import exponential_kernel
-    K = exponential_kernel(2.0, [[1.0]])
-    assert fourier_eval(K, 0.0)[0, 0] == pytest.approx(1.0, abs=1e-12)
-    nu = 0.3 + 1.1j
-    assert fourier_eval(K, nu, 1)[0, 0] == pytest.approx(
-        K.transform(nu, 1)[0, 0], abs=1e-14)
-    with pytest.raises(StripViolation):
-        fourier_eval(K, 2.3)
-
-
 def test_strip_violations_rejected_at_construction():
     # a declared strip wider than the kernel decay cannot be represented
     from specflow.kernels import sample_kernel, exponential_kernel
@@ -142,3 +112,17 @@ def test_strip_violations_rejected_at_construction():
     S = sample_kernel(K, h=0.02, R=14.0, eta0=2.0)
     with pytest.raises(StripViolation):
         Symbol(1, S, (ShiftTerm(0.0, [[1.0]]),), 2.5)
+
+
+def test_symbol_strip_check_guards_points_and_rectangles():
+    # one strip check serves point evaluation and winding counts
+    from specflow.charmatrix import char_eval
+    from specflow.roots import Rectangle, count_roots
+    sym = Symbol(1, exponential_kernel(2.0, [[1.0]]), (ShiftTerm(0.0, [[0.5]]),), 1.5)
+    sym.check_strip([-1.4, 1.4 + 3.0j])
+    with pytest.raises(StripViolation):
+        char_eval(sym, 1.5 + 0.2j)
+    with pytest.raises(StripViolation):
+        count_roots(sym, Rectangle(-1.0, 1.6, -1.0, 1.0))
+    with pytest.raises(StripViolation):
+        count_roots(sym, Rectangle(-1.5, 1.0, -1.0, 1.0))
