@@ -29,7 +29,7 @@ import numpy as np
 from . import configio
 from .charmatrix import is_hyperbolic
 from .conslaw import (characteristic_speeds, jump_leading_order,
-                      shock_profile, zero_speed_selection)
+                      shock_profile, zero_speed_selection, zero_speeds)
 from .edgebif import edge_scaling
 from .errors import ConfigurationError, NumericalError, SpecflowError
 from .flow import crossing_number, fredholm_index
@@ -181,19 +181,19 @@ def _cmd_index(args, outdir):
 
 
 def _parse_floats(option, items, count=None):
-    """Finite floats from the strings `items`, `count` of them when given.
+    """Finite floats from `items`, `count` of them when given.
 
     Anything else raises a ConfigurationError naming the option.
     """
     try:
         vals = [float(v) for v in items]
         ok = all(np.isfinite(vals)) and count in (None, len(vals))
-    except ValueError:
+    except (TypeError, ValueError):
         ok = False
     if not ok:
         need = "" if count is None else f"{count} "
         raise ConfigurationError(f"{option} takes {need}finite number(s), "
-                                 f"got {' '.join(items)!r}")
+                                 f"got {items!r}")
     return vals
 
 
@@ -251,9 +251,8 @@ def _cmd_shock(args, outdir):
     b = (np.array(_parse_floats("--b", args.b.split(","), model.n))
          if args.b else np.zeros(model.n))
     speeds, _ = characteristic_speeds(model)
-    zero_speed = bool(np.min(np.abs(speeds)) < 1e-8)
     payload = {"speeds": speeds.tolist(), "eps": eps}
-    if zero_speed:
+    if len(zero_speeds(speeds)):
         a0, b0, M, sol = zero_speed_selection(model, eps)
         payload.update({"a_j0": a0, "b_j0": b0, "M": M,
                         "a": sol.a.tolist(), "b": sol.b.tolist(),
@@ -276,8 +275,10 @@ def _cmd_shock(args, outdir):
 def _cmd_edge(args, outdir):
     cfg = configio.load_config(args.config)
     model = configio.edge_model_from_json(cfg)
-    eps_list = (_parse_floats("--eps", args.eps[0].split(","))
-                if args.eps else list(cfg.get("eps", [0.04, 0.02, 0.01])))
+    raw = args.eps[0].split(",") if args.eps else cfg.get("eps", [0.04, 0.02, 0.01])
+    eps_list = _parse_floats("--eps" if args.eps else "eps", raw)
+    if not eps_list or 0.0 in eps_list:
+        raise ConfigurationError(f"an edge sweep needs nonzero eps values, got {raw!r}")
     sc = edge_scaling(model, eps_list)
     _write_csv(outdir, "scaling.csv", ["eps", "lambda_star", "ratio"],
                [(e, l, q) for e, l, q in sc.rows])

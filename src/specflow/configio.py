@@ -358,8 +358,8 @@ def edge_model_from_json(spec, path="edge"):
         _fail(path, "perturbation needs 'matrix' or 'kernel'")
     return EdgeModel(
         n=n, B=B, kernel=kernel, dirac=dirac, V=V, P=P, pert_kernel=pk,
-        eta=float(spec.get("eta", 0.5)),
-        weight_eta=float(spec.get("weight_eta", 0.5)))
+        eta=_positive(spec.get("eta", 0.5), path + ".eta"),
+        weight_eta=_positive(spec.get("weight_eta", 0.5), path + ".weight_eta"))
 
 
 def load_config(path):

@@ -40,11 +40,24 @@ __all__ = [
     "ShockModel", "ShockSolution", "characteristic_speeds",
     "linearization_index", "linearization_symbol", "jump_leading_order",
     "shock_profile", "zero_speed_constant", "zero_speed_selection",
+    "zero_speeds",
 ]
 
 _GRID = Grid(L=30.0, h=0.05)  # default window of the layer solvers
 _TOL = 1e-10                  # Newton tolerance relative to 1 + max|eps H|
 _MAX_ITER = 50
+_ZERO_SPEED = 1e-8            # a characteristic speed below this vanishes
+
+
+def zero_speeds(speeds):
+    """Indices of the characteristic speeds that vanish (|c| < _ZERO_SPEED)."""
+    return np.flatnonzero(np.abs(speeds) < _ZERO_SPEED)
+
+
+def _flux_jacobian(d, d2, U):
+    """Jacobian d + d2[i, j, k] U_k of a linear-plus-quadratic flux per node."""
+    out = np.broadcast_to(d, (U.shape[0],) + d.shape).copy()
+    return out if d2 is None else out + np.einsum("ijk,mk->mij", d2, U)
 
 
 @dataclass
@@ -86,18 +99,11 @@ class ShockModel:
 
     def dflux_F(self, U):
         """Jacobian dF(U) per node, shape (m, n, n)."""
-        m = U.shape[0]
-        out = np.broadcast_to(self.dF, (m, self.n, self.n)).copy()
-        if self.F2 is not None:
-            out = out + np.einsum("ijk,mk->mij", self.F2, U)
-        return out
+        return _flux_jacobian(self.dF, self.F2, U)
 
     def dflux_G(self, U):
-        m = U.shape[0]
-        out = np.broadcast_to(self.dG, (m, self.n, self.n)).copy()
-        if self.G2 is not None:
-            out = out + np.einsum("ijk,mk->mij", self.G2, U)
-        return out
+        """Jacobian dG(U) per node, shape (m, n, n)."""
+        return _flux_jacobian(self.dG, self.G2, U)
 
     def transport_matrix(self):
         K0 = np.real(self.kernel.transform(0.0))
@@ -163,7 +169,7 @@ def linearization_index(model, eta):
 def jump_leading_order(model):
     """Leading-order jump per unit eps: -(K_hat(0) dF + dG)^{-1} integral H."""
     M0 = model.transport_matrix()
-    if abs(np.linalg.det(M0)) < 1e-14:
+    if len(zero_speeds(np.linalg.eigvals(M0))):
         raise SingularMatrix("transport matrix is singular (zero speed)")
     integral, _ = quad_vec(lambda x: model.source_at(np.array([x]))[0],
                            -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12)
@@ -320,8 +326,7 @@ def shock_profile(model, b, eps, grid=_GRID):
     """
     if abs(eps) > model.eps_max:
         raise ConfigurationError(f"|eps| exceeds eps_max = {model.eps_max:g}")
-    speeds, _ = characteristic_speeds(model)
-    if np.min(np.abs(speeds)) < 1e-10:
+    if len(zero_speeds(characteristic_speeds(model)[0])):
         raise ConfigurationError(
             "zero characteristic speed: use zero_speed_selection")
     sys = _ShockSystem(model, grid, b, eps)
@@ -352,7 +357,7 @@ def zero_speed_constant(model):
     parity.  Returns (M, j0, pairing).
     """
     speeds, E = characteristic_speeds(model)
-    zero = np.where(np.abs(speeds) < 1e-8)[0]
+    zero = zero_speeds(speeds)
     if len(zero) != 1:
         raise ConfigurationError("need exactly one vanishing speed")
     j0 = int(zero[0])

@@ -8,7 +8,8 @@ Exponential weights enter as an exact diagonal conjugation with the
 smooth profile exp(w(xi)), w'(xi) -> gamma_[-,+] as xi -> -+infinity.
 One row rule builds every matrix: `_fill` subtracts each node's
 convolution row (`_conv_row`) and shifts, and the constant symbol, the
-xi-dependent operator and its adjoint only supply their row data.
+xi-dependent operator and its adjoint only supply their row data.  The
+matrix is complex exactly when some row datum has an imaginary part.
 
 The same discretization kit serves the two Newton applications: the
 trapezoid-plus-kink convolution matrix (its corrections read the jumps
@@ -44,6 +45,7 @@ from scipy.sparse.linalg import norm as sparse_norm, splu
 from .charmatrix import adjoint_symbol
 from .errors import (ConfigurationError, GridTooCoarse, NewtonDiverged,
                      NumericalError, TailUnresolved)
+from .kernels import trapezoid_weights
 from .symbols import OperatorFamily, Symbol
 
 __all__ = [
@@ -131,13 +133,6 @@ def _as_symbol_map(operator):
     raise TypeError("operator must be a Symbol, OperatorFamily or callable")
 
 
-def trapezoid_weights(m, h):
-    """Trapezoid-rule weights on m equispaced nodes of spacing h."""
-    w = np.full(m, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def fd4_matrix(m, h):
     """Fourth-order first-derivative matrix with one-sided closures."""
     D = np.zeros((m, m))
@@ -152,16 +147,10 @@ def fd4_matrix(m, h):
     return D
 
 
-def _part(dtype):
-    """Real parts for a float matrix, the values as they are otherwise."""
-    return np.real if dtype is float else np.asarray
-
-
-def _edge_data(kernel, part):
+def _edge_data(kernel):
     """(K(0-), K(0+), j0, j1): one-sided values and the jumps of K and K'."""
-    return tuple(part(v) for v in (kernel.value_one_sided(-1),
-                                   kernel.value_one_sided(+1), kernel.jump(),
-                                   kernel.derivative().jump()))
+    return (kernel.value_one_sided(-1), kernel.value_one_sided(+1),
+            kernel.jump(), kernel.derivative().jump())
 
 
 def _conv_row(i, vals, edge, w_quad, h):
@@ -196,9 +185,9 @@ def conv_matrix(kernel, m, n, h, dtype=complex):
     Block row i is `_conv_row`; with dtype float only the real parts of
     the kernel data enter.
     """
-    part = _part(dtype)
+    part = np.real if dtype is float else np.asarray
     table = part(kernel.value(h * np.arange(-(m - 1), m)))
-    edge = _edge_data(kernel, part)
+    edge = tuple(part(v) for v in _edge_data(kernel))
     w_quad = trapezoid_weights(m, h)
     C = np.empty((m * n, m * n), dtype=dtype)
     for i in range(m):
@@ -245,17 +234,21 @@ def _check_resolution(symbol, grid):
 
 
 def _fill(M, nodes, h, row):
-    """Subtract every node's convolution row and shifts from M in place.
+    """M minus every node's convolution row and shifts.
 
-    `row(i)` returns (kernel values at xi_i - xi_j or None, `_edge_data`,
-    [(offset, matrix), ...]).  A shift at offset 0 lands on the diagonal;
-    any other target xi_i - offset is linearly interpolated.
+    `row(i)` returns `_typed` data: (kernel values at xi_i - xi_j or None,
+    `_edge_data`, [(offset, matrix), ...], complex).  A shift at offset 0
+    lands on the diagonal; any other target xi_i - offset is linearly
+    interpolated.  A real M is filled in place until a complex row comes,
+    and from that row on M is a complex copy.
     """
     m = len(nodes)
     n = M.shape[0] // m
     w_quad = trapezoid_weights(m, h)
     for i in range(m):
-        vals, edge, shifts = row(i)
+        vals, edge, shifts, cplx = row(i)
+        if cplx and M.dtype == float:
+            M = M.astype(complex)
         r = slice(i * n, (i + 1) * n)
         if vals is not None:
             M[r] -= _conv_row(i, vals, edge, w_quad, h)
@@ -265,16 +258,17 @@ def _fill(M, nodes, h, row):
             else:
                 for col, wgt in _interp_row(nodes[i] - xi, nodes, h):
                     M[r, col * n:(col + 1) * n] -= wgt * A
+    return M
 
 
-def _assembled(grid, n, dtype, row, weights):
+def _assembled(grid, n, row, weights):
     """GridOperator of D_W M D_W^{-1}, M the derivative blocks minus `row`."""
     m = grid.size
-    M = np.zeros((m * n, m * n), dtype=dtype)
+    M = np.zeros((m * n, m * n))
     D = _derivative_matrix(m, grid.h)
     for a in range(n):
         M[a::n, a::n] += D
-    _fill(M, grid.nodes, grid.h, row)
+    M = _fill(M, grid.nodes, grid.h, row)
     wexp = weight_exponent(grid.nodes, *weights)
     wexp = wexp - wexp.max()  # normalize so the conjugation stays bounded
     W = np.exp(np.repeat(wexp, n))
@@ -284,12 +278,25 @@ def _assembled(grid, n, dtype, row, weights):
                         weight_vector=W)
 
 
-def _symbol_row(sym, zeta, part):
-    """`_fill` row data of one symbol, its kernel taken at the offsets zeta."""
-    shifts = [(s.xi, part(s.A)) for s in sym.shifts]
+def _typed(vals, edge, shifts):
+    """`_fill` row data: the real parts when no datum has an imaginary part.
+
+    Returns (vals, edge, shifts, complex); this decides the matrix type.
+    """
+    data = [A for _, A in shifts] + ([] if vals is None else [vals, *edge])
+    if any(np.any(np.imag(v)) for v in data):
+        return vals, edge, shifts, True
+    return (None if vals is None else np.real(vals),
+            None if edge is None else [np.real(v) for v in edge],
+            [(xi, np.real(A)) for xi, A in shifts], False)
+
+
+def _symbol_row(sym, zeta):
+    """`_typed` row data of one symbol, its kernel taken at the offsets zeta."""
+    shifts = [(s.xi, s.A) for s in sym.shifts]
     if sym.kernel is None:
-        return None, None, shifts
-    return part(sym.kernel.value(zeta)), _edge_data(sym.kernel, part), shifts
+        return _typed(None, None, shifts)
+    return _typed(sym.kernel.value(zeta), _edge_data(sym.kernel), shifts)
 
 
 def assemble(operator, grid, weights=(0.0, 0.0)):
@@ -301,20 +308,18 @@ def assemble(operator, grid, weights=(0.0, 0.0)):
     at, const = _as_symbol_map(operator)
     s0 = const if const is not None else at(0.0)
     _check_resolution(s0, grid)
-    dtype = float if s0.is_real() else complex
-    part = _part(dtype)
     nodes = grid.nodes
     m = len(nodes)
     if const is None:
         def row(i):
-            return _symbol_row(at(nodes[i]), nodes[i] - nodes, part)
+            return _symbol_row(at(nodes[i]), nodes[i] - nodes)
     else:
         # one kernel table on the node offsets, indexed per row
-        table, edge, shifts = _symbol_row(const, grid.h * np.arange(-(m - 1), m), part)
+        table, edge, shifts, cplx = _symbol_row(const, grid.h * np.arange(-(m - 1), m))
 
         def row(i):
-            return (None if table is None else table[i:i + m][::-1]), edge, shifts
-    return _assembled(grid, s0.n, dtype, row, weights)
+            return (None if table is None else table[i:i + m][::-1]), edge, shifts, cplx
+    return _assembled(grid, s0.n, row, weights)
 
 
 def assemble_adjoint(operator, grid, weights=(0.0, 0.0)):
@@ -343,14 +348,14 @@ def assemble_adjoint(operator, grid, weights=(0.0, 0.0)):
 
     def row(i):
         sym = syms[i]
-        edge = no_edge if sym.kernel is None else _edge_data(sym.kernel.adjoint(), np.asarray)
+        edge = no_edge if sym.kernel is None else _edge_data(sym.kernel.adjoint())
         shifts = []
         for k, s in enumerate(sym.shifts):
             target = nodes[i] + s.xi
             source = at(target) if abs(target) <= grid.L else sym
             shifts.append((-s.xi, -source.shifts[k].A.conj().T))
-        return -np.conj(np.swapaxes(fwd[:, i], 1, 2)), edge, shifts
-    return _assembled(grid, n, complex, row, weights)
+        return _typed(-np.conj(np.swapaxes(fwd[:, i], 1, 2)), edge, shifts)
+    return _assembled(grid, n, row, weights)
 
 
 @dataclass

@@ -51,6 +51,13 @@ def _positive(name, x):
     return x
 
 
+def trapezoid_weights(m, h):
+    """Trapezoid-rule weights on m equispaced nodes of spacing h."""
+    w = np.full(m, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
 def _spec_norm(M):
     return float(np.linalg.norm(M, 2))
 
@@ -195,22 +202,14 @@ class ExpPolyKernel(KernelSpec):
         # tolerance absorbs rounding in grid differences; at the kink the
         # two one-sided limits are averaged
         tol = 1e-9
-        pos = zeta > tol
-        neg = zeta < -tol
         zero = np.abs(zeta) <= tol
         for side, b, p, C in self.terms:
-            if side > 0:
-                w = np.where(pos, zeta, 0.0) ** p * np.exp(-b * np.where(pos, zeta, 0.0))
-                w = np.where(pos, w, 0.0)
+            inside = side * zeta > tol
+            az = np.where(inside, side * zeta, 0.0)     # |zeta| on the term's side
+            w = np.where(inside, az ** p * np.exp(-b * az), 0.0)
+            if p == 0:
                 # split the zeta = 0 point evenly between the two sides
-                if p == 0:
-                    w = np.where(zero, 0.5, w)
-            else:
-                az = np.where(neg, -zeta, 0.0)
-                w = az ** p * np.exp(-b * az)
-                w = np.where(neg, w, 0.0)
-                if p == 0:
-                    w = np.where(zero, 0.5, w)
+                w = np.where(zero, 0.5, w)
             out += w[..., None, None] * C
         return out
 
@@ -427,12 +426,13 @@ class GaussianKernel(KernelSpec):
 class SampledKernel(KernelSpec):
     """Kernel given by samples on a uniform grid over [-R, R].
 
-    The transform uses a trapezoid sum with Euler-Maclaurin derivative
-    corrections at the truncation points and (when the grid contains 0)
-    at the origin, which restores fourth-order accuracy for kernels that
-    are smooth away from a kink at 0.  The decay rate eta0 is declared by
-    the caller; the tail bound ||K(+-R)|| <= tol_tail * max ||K|| is
-    verified before any transform is evaluated.
+    Full and partial transforms use one corrected trapezoid rule: the
+    trapezoid sum plus, when 0 is a node with three more on each side,
+    the Euler-Maclaurin kink term at 0, which restores fourth-order
+    accuracy for kernels that are smooth away from a kink at 0.  The decay
+    rate eta0 is declared by the caller; the tail bound
+    ||K(+-R)|| <= tol_tail * max ||K|| is verified before any transform
+    is evaluated.
     """
 
     def __init__(self, h, samples, eta0, tol_tail=1e-6):
@@ -451,10 +451,14 @@ class SampledKernel(KernelSpec):
         self.grid = -self.R + self.h * np.arange(m)
         self.eta0 = _positive("eta0", eta0)
         self.tol_tail = _positive("tol_tail", tol_tail)
-        norms = np.linalg.norm(samples, axis=(1, 2))
+        self._norms = norms = np.linalg.norm(samples, axis=(1, 2))
         self._max_norm = float(norms.max()) if m else 0.0
         self._tail_ok = (norms[0] <= self.tol_tail * self._max_norm
                          and norms[-1] <= self.tol_tail * self._max_norm)
+        self._weights = trapezoid_weights(m, self.h)
+        i0 = int(round(self.R / self.h))
+        self._i0 = (i0 if 3 <= i0 < m - 3
+                    and abs(self.grid[i0]) < 1e-12 * max(1.0, self.R) else None)
 
     @property
     def strip(self):
@@ -477,30 +481,25 @@ class SampledKernel(KernelSpec):
             raise StripViolation(
                 f"|Re nu| = {re:g} is not inside the strip |Re nu| < {self.strip:g}")
 
+    def _kink(self, g):
+        """(h^2/12) (g'(0+) - g'(0-)) by 4-point one-sided differences at node 0, else 0."""
+        i, h = self._i0, self.h
+        if i is None:
+            return 0.0
+        gm = (11 * g[..., i, :, :] - 18 * g[..., i - 1, :, :]
+              + 9 * g[..., i - 2, :, :] - 2 * g[..., i - 3, :, :]) / (6 * h)
+        gp = (-11 * g[..., i, :, :] + 18 * g[..., i + 1, :, :]
+              - 9 * g[..., i + 2, :, :] + 2 * g[..., i + 3, :, :]) / (6 * h)
+        return (h * h / 12.0) * (gp - gm)
+
+    def _rule(self, g):
+        """The corrected trapezoid rule over [-R, R] of integrand samples g."""
+        return np.einsum("m,...mij->...ij", self._weights, g) + self._kink(g)
+
     def transform(self, nu, order=0):
         self._require_tail()
         self.check_strip(nu)
-        nu = np.asarray(nu, dtype=complex)
-        g = self._integrand(nu, order)
-        w = np.full(len(self.grid), self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        out = np.einsum("m,...mij->...ij", w, g)
-        # Euler-Maclaurin kink correction at zeta = 0 when 0 is a node.
-        i0 = int(round((0.0 + self.R) / self.h))
-        if 0 <= i0 < len(self.grid) and abs(self.grid[i0]) < 1e-12 * max(1.0, self.R):
-            out += self._kink_correction(g, i0)
-        return out
-
-    def _kink_correction(self, g, i0):
-        h = self.h
-        # one-sided 4-point derivative estimates of the integrand at 0+-
-        if i0 >= 3 and i0 + 3 < g.shape[-3]:
-            gm = (11 * g[..., i0, :, :] - 18 * g[..., i0 - 1, :, :]
-                  + 9 * g[..., i0 - 2, :, :] - 2 * g[..., i0 - 3, :, :]) / (6 * h)
-            gp = (-11 * g[..., i0, :, :] + 18 * g[..., i0 + 1, :, :]
-                  - 9 * g[..., i0 + 2, :, :] + 2 * g[..., i0 + 3, :, :]) / (6 * h)
-            return (h * h / 12.0) * (gp - gm)
-        return 0.0
+        return self._rule(self._integrand(nu, order))
 
     def value(self, zeta):
         zeta = np.asarray(zeta, dtype=float)
@@ -513,31 +512,23 @@ class SampledKernel(KernelSpec):
         return np.where(inside[..., None, None], vals, 0.0)
 
     def tail_transform(self, t, nu):
+        """`transform`'s rule on [lo, R], lo = max(t, -R), vectorized over t.
+
+        The rule's part over [-R, lo] (nodes up to z_k <= lo, the cell
+        [z_k, lo] linearly interpolated, the kink term if 0 < lo) is taken
+        off the full rule, so t <= -R gives `transform` bit for bit.
+        """
         self._require_tail()
         nu = complex(nu)
         t = np.asarray(t, dtype=float)
-        g = self._integrand(np.asarray(nu), 0)
-        out = np.zeros(t.shape + (self.n, self.n), dtype=complex)
-        flat = t.ravel()
-        res = []
-        for tv in flat:
-            if tv >= self.R:
-                res.append(np.zeros((self.n, self.n), dtype=complex))
-                continue
-            lo = max(tv, -self.R)
-            mask = self.grid >= lo
-            zg = self.grid[mask]
-            vg = g[mask]
-            w = np.full(len(zg), self.h)
-            w[0] = w[-1] = 0.5 * self.h
-            acc = np.einsum("m,mij->ij", w, vg)
-            if zg[0] > lo:  # partial first cell by linear interpolation
-                z0 = zg[0]
-                v0 = self.value(np.array([lo]))[0] * np.exp(-nu * lo)
-                acc += 0.5 * (z0 - lo) * (v0 + vg[0])
-            res.append(acc)
-        out.reshape(-1, self.n, self.n)[:] = np.array(res)
-        return out
+        g = self._integrand(nu, 0)
+        lo = np.clip(t, -self.R, self.R)
+        k = np.clip(np.floor((lo + self.R) / self.h).astype(int), 0, len(self.grid) - 2)
+        below = self.h * (np.cumsum(g, axis=0) - 0.5 * g[0] - 0.5 * g)[k]
+        g_lo = self.value(lo) * np.exp(-nu * lo)[..., None, None]
+        below += 0.5 * (lo - self.grid[k])[..., None, None] * (g[k] + g_lo)
+        below += np.where((lo > 0)[..., None, None], self._kink(g), 0.0)
+        return np.where((t < self.R)[..., None, None], self._rule(g) - below, 0.0)
 
     def weight_shift(self, gamma):
         if abs(gamma) >= self.eta0:
@@ -561,13 +552,11 @@ class SampledKernel(KernelSpec):
                              tol_tail=self.tol_tail)
 
     def l1_bound(self):
-        norms = np.linalg.norm(self.samples, axis=(1, 2))
-        return float(np.trapezoid(norms, self.grid)) + 2 * self._max_norm * self.tol_tail / self.eta0
+        return float(self._weights @ self._norms) + 2 * self._max_norm * self.tol_tail / self.eta0
 
     def moment_bound(self):
-        norms = np.linalg.norm(self.samples, axis=(1, 2)) * np.abs(self.grid)
-        return float(np.trapezoid(norms, self.grid)) + 2 * self._max_norm * self.tol_tail * (
-            self.R + 1 / self.eta0) / self.eta0
+        return float(self._weights @ (self._norms * np.abs(self.grid))) + (
+            2 * self._max_norm * self.tol_tail * (self.R + 1 / self.eta0) / self.eta0)
 
 
 class SumKernel(KernelSpec):

@@ -99,13 +99,6 @@ class Symbol:
             out += ((-s.xi) ** order * np.exp(-nu * s.xi))[..., None, None] * s.A
         return out
 
-    def is_real(self):
-        ker_ok = True
-        if self.kernel is not None:
-            probe = self.kernel.value(np.linspace(-2.0, 2.0, 7))
-            ker_ok = np.max(np.abs(probe.imag)) < 1e-14 * (1 + np.max(np.abs(probe)))
-        return ker_ok and all(np.max(np.abs(s.A.imag)) == 0 for s in self.shifts)
-
 
 def weight_shift(symbol, gamma):
     """Conjugation by exp(gamma xi) at the symbol level.

@@ -242,6 +242,29 @@ def test_edge_potential_zero_width_exit_code(tmp_path):
     assert err["kind"] == "configuration" and "V.width" in err["error"]
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("weight_eta", "NaN"),
+    ("weight_eta", "1e400"),
+    ("weight_eta", "0.0"),
+    ("weight_eta", "-0.5"),
+    ("eta", "NaN"),
+    # a sweep needs at least one eps; a single one is a valid sweep
+    ("eps", "[]"),
+    ("eps", "[0.04, 0.0]"),
+    ("eps", "[0.04, NaN]"),
+], ids=["weight_eta_nan", "weight_eta_overflow", "weight_eta_zero",
+        "weight_eta_negative", "eta_nan", "eps_empty", "eps_zero", "eps_nan"])
+def test_invalid_edge_schema_exit_code(tmp_path, key, raw):
+    cfg = json.loads((CONFIGS / "schrodinger_well.json").read_text())
+    cfg[key] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg).replace('"@"', raw))
+    rc = run(["edge", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    err = read_json(tmp_path, "error.json")
+    assert err["kind"] == "configuration" and key in err["error"]
+
+
 def test_unexpected_exception_exits_internal(tmp_path, monkeypatch):
     from specflow import cli
 
@@ -407,11 +430,14 @@ def _pair_config(tmp_path):
     ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "x"],
     ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "1,2,3"],
     ["edge", "--config", "schrodinger_well.json", "--eps", "abc"],
+    ["edge", "--config", "schrodinger_well.json", "--eps", "0"],
+    ["edge", "--config", "schrodinger_well.json", "--eps", "0.04,0"],
     ["roots", "--config", "symbol", "--box", "1", "0", "0", "1"],
     ["roots", "--config", "symbol", "--box", "a", "0", "0", "1"],
     ["index", "--config", "pair"],
 ], ids=["flow_scan_1", "index_scan_0", "shock_eps", "shock_b_text",
-        "shock_b_length", "edge_eps", "roots_empty_box", "roots_box_text",
+        "shock_b_length", "edge_eps", "edge_eps_zero", "edge_eps_zero_entry",
+        "roots_empty_box", "roots_box_text",
         "index_mixed_dimension"])
 def test_malformed_numeric_option_exit_code(tmp_path, symbol_config, argv):
     configs = {"symbol": str(symbol_config), "pair": _pair_config(tmp_path)}

@@ -4,8 +4,10 @@ from scipy.integrate import quad
 
 from specflow.conslaw import (ShockModel, _ShockSystem, characteristic_speeds,
                               jump_leading_order, linearization_index,
-                              shock_profile, zero_speed_selection)
-from specflow.errors import DegeneracyViolated, SingularMatrix
+                              shock_profile, zero_speed_constant,
+                              zero_speed_selection, zero_speeds)
+from specflow.errors import (ConfigurationError, DegeneracyViolated,
+                             SingularMatrix)
 from specflow.griddisc import Grid, index_estimate
 from specflow.kernels import (exponential_kernel, gaussian_kernel,
                               one_sided_exponential_kernel)
@@ -116,6 +118,21 @@ def test_jump_decoupled_components():
 def test_jump_singular_transport_raises():
     with pytest.raises(SingularMatrix):
         jump_leading_order(zero_speed_model())
+
+
+def test_one_zero_speed_threshold():
+    # a speed of 1e-9 vanishes for every caller: shock_profile refuses it,
+    # jump_leading_order finds the transport matrix singular, and
+    # zero_speed_constant selects it
+    model = zero_speed_model()
+    model.dG = np.array([[1.0 - 1e-9]])
+    speeds = characteristic_speeds(model)[0]
+    assert 0 < abs(speeds[0]) < 1e-8 and list(zero_speeds(speeds)) == [0]
+    with pytest.raises(ConfigurationError):
+        shock_profile(model, np.zeros(1), 1e-3)
+    with pytest.raises(SingularMatrix):
+        jump_leading_order(model)
+    assert zero_speed_constant(model)[1] == 0
 
 
 def test_profile_unperturbed():
@@ -248,3 +265,24 @@ def test_shock_convolution_matches_quadrature(kernel):
         ref = (quad(integrand, -np.inf, x, args=(x,), epsabs=1e-12)[0]
                + quad(integrand, x, np.inf, args=(x,), epsabs=1e-12)[0])
         assert abs(conv[i] - ref) < 1e-6
+
+
+def test_shock_jacobian_matches_forward_differences_with_quadratic_fluxes(rng):
+    # both quadratic flux tensors set: dF(U) and dG(U) both depend on U
+    F2 = 0.4 * rng.normal(size=(2, 2, 2))
+    G2 = 0.4 * rng.normal(size=(2, 2, 2))
+    model = ShockModel(
+        n=2, kernel=exponential_kernel(2.0, np.eye(2)), dF=np.eye(2),
+        dG=np.array([[1.5, 0.2], [0.2, 0.8]]), source=gaussian_source([1.0, 0.5]),
+        F2=F2 + F2.transpose(0, 2, 1), G2=G2 + G2.transpose(0, 2, 1), eta=0.6)
+    sys = _ShockSystem(model, Grid(L=5.0, h=0.1), np.array([0.05, -0.03]), 0.01)
+    z = 0.1 * rng.normal(size=sys.n_params + int(sys.active_flat.sum()))
+    res = sys.residual(z)
+    J = sys.jacobian(z, res)
+    fd = np.empty_like(J)
+    for k in range(len(z)):
+        step = 1e-7 * (1.0 + abs(z[k]))
+        dz = z.copy()
+        dz[k] += step
+        fd[:, k] = (sys.residual(dz) - res) / step
+    assert np.abs(J - fd).max() <= 1e-5 * np.abs(J).max()

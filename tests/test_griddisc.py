@@ -16,7 +16,8 @@ from specflow.griddisc import (Grid, _classify_spectrum, _jordan_wielandt_band,
                                conv_matrix, fd4_matrix, fd_columns,
                                index_estimate, newton_solve, nullity,
                                solve_inhomogeneous)
-from specflow.kernels import exponential_kernel, one_sided_exponential_kernel
+from specflow.kernels import (SampledKernel, exponential_kernel, gaussian_kernel,
+                              one_sided_exponential_kernel, sample_kernel)
 from specflow.symbols import OperatorFamily, ShiftTerm, Symbol, weight_shift
 
 
@@ -61,6 +62,36 @@ def test_validation_errors(grid):
                   (ShiftTerm(0.0, [[1.0]]),), 0.25)
     with pytest.raises(TailUnresolved):
         assemble(wide, Grid(L=10.0, h=0.05))
+
+
+@pytest.mark.parametrize("kernel", [exponential_kernel(2.0, [[1.0]]),
+                                    gaussian_kernel(0.5, [[1.0]])],
+                         ids=["exponential", "gaussian"])
+@pytest.mark.parametrize("weights, expect", [((-0.2, 0.2), -1), ((0.2, -0.2), 1)])
+def test_sampled_kernel_index_matches_closed_form_twin(kernel, weights, expect):
+    # a sampled kernel's partial transforms vanish beyond its support, so
+    # the tail check passes and the oracle sees the closed-form index
+    g = Grid(L=15.0, h=0.1)
+    for K in (kernel, sample_kernel(kernel, h=0.05, R=12.0, eta0=1.9)):
+        sym = Symbol(1, K, (ShiftTerm(0.0, [[-1.0]]),), 1.5)
+        idx, nf, na = index_estimate(sym, g, *weights)
+        assert idx == expect and nf.reliable and na.reliable
+
+
+def test_matrix_type_comes_from_the_entries():
+    # imaginary part only where |zeta| > 2.05: a probe of the kernel near 0
+    # alone would see a real symbol
+    z = -12.0 + 0.05 * np.arange(481)
+    real = np.exp(-3.0 * np.abs(z))
+    imag = np.where(np.abs(z) <= 2.05, 0.0, 0.3 * np.exp(-4.0 * (z - 4.0) ** 2))
+    g = Grid(L=20.0, h=0.05)
+    mats = [assemble(Symbol(1, SampledKernel(0.05, samples, 1.5),
+                            (ShiftTerm(0.0, [[-1.0]]),), 1.0), g).matrix
+            for samples in (real + 1j * imag, real)]
+    assert mats[0].dtype == complex and np.abs(mats[0].imag).max() > 1e-3
+    assert mats[1].dtype == float
+    # real data gives the same real parts whichever type the fill uses
+    assert np.array_equal(mats[0].real, mats[1])
 
 
 def test_ode_rows_second_order():

@@ -163,6 +163,35 @@ def test_tail_transform_matches_quadrature():
                 ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["exp_poly", "gaussian", "sampled", "sum"])
+def test_tail_and_head_transforms_add_up(name):
+    K = _algebra_kernels()[name]
+    nu = 0.4 + 0.8j
+    t = np.array([-30.0, -12.0, -1.7, -0.01, 0.0, 0.9, 12.0, 30.0])
+    total = K.tail_transform(t, nu) + K.head_transform(t, nu)
+    want = K.transform(nu)
+    assert np.abs(total - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+def test_sampled_partial_transforms_vanish_beyond_the_support():
+    K = _algebra_kernels()["sampled"]
+    beyond = np.array([K.R, 12.5, 30.0])
+    assert not np.any(K.head_transform(-beyond, 0.0))
+    assert not np.any(K.head_transform(-beyond, 0.3 - 1.1j))
+    assert not np.any(K.tail_transform(beyond, 0.3 - 1.1j))
+
+
+@pytest.mark.parametrize("t", [-2.5, -1.7, 0.9])
+def test_sampled_tail_transform_matches_closed_form(t):
+    # the kink term at 0 belongs to every range that contains 0; without
+    # it a range below 0 is off by (h^2/12) |K'(0+) - K'(0-)| = 8.3e-4
+    K = exponential_kernel(2.0, [[1.0]])
+    S = sample_kernel(K, h=0.05, R=12.0, eta0=1.9)
+    nu = 0.4 + 0.8j
+    err = abs(S.tail_transform(np.array([t]), nu) - K.tail_transform(np.array([t]), nu))
+    assert err.max() < 1e-4
+
+
 def test_jumps_exponential():
     K = exponential_kernel(2.0, [[1.0]])
     j0, j1 = K.jump(), K.derivative().jump()
