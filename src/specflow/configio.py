@@ -19,7 +19,7 @@ import numpy as np
 from .conslaw import ShockModel
 from .edgebif import EdgeModel
 from .errors import ConfigurationError
-from .kernels import (ExpPolyKernel, SampledKernel, SumKernel,
+from .kernels import (ExpPolyKernel, SampledKernel, SumKernel, _positive,
                       exponential_kernel, gaussian_kernel,
                       one_sided_exponential_kernel)
 from .symbols import OperatorFamily, ShiftTerm, Symbol
@@ -255,19 +255,11 @@ def _array(v, shape, path):
     return arr
 
 
-def _positive(value, path):
-    """A finite positive float, else a ConfigurationError at `path`."""
-    x = float(value)
-    if not (np.isfinite(x) and x > 0):
-        _fail(path, f"must be finite and positive, got {value!r}")
-    return x
-
-
 def _source_from_json(spec, n, path="source"):
     kind = spec.get("type")
     if kind == "gaussian":
         vec = _array(spec["vector"], (n,), path + ".vector")
-        width = _positive(spec.get("width", 1.0), path + ".width")
+        width = _positive(path + ".width", spec.get("width", 1.0))
         center = float(spec.get("center", 0.0))
 
         def H(x):
@@ -277,7 +269,7 @@ def _source_from_json(spec, n, path="source"):
     if kind == "moment":
         # x * gaussian in a single component: odd first-moment source
         vec = _array(spec["vector"], (n,), path + ".vector")
-        width = _positive(spec.get("width", 1.0), path + ".width")
+        width = _positive(path + ".width", spec.get("width", 1.0))
 
         def H(x):
             x = np.asarray(x, dtype=float)
@@ -308,22 +300,22 @@ def shock_model_from_json(spec, path="shock"):
     if kernel is None:
         _fail(path, "a shock model needs a convolution kernel")
     flux = spec.get("flux", {})
-    dF = np.real(_matrix(flux["dF"], path + ".flux.dF", n))
-    dG = np.real(_matrix(flux["dG"], path + ".flux.dG", n))
+    dF = _matrix(flux["dF"], path + ".flux.dF", n)
+    dG = _matrix(flux["dG"], path + ".flux.dG", n)
     F2, G2 = (_array(flux[k], (n, n, n), f"{path}.flux.{k}") if k in flux
               else None for k in ("F2", "G2"))
     source = _source_from_json(spec["source"], n, path + ".source")
     return ShockModel(
         n=n, kernel=kernel, dF=dF, dG=dG, source=source, F2=F2, G2=G2,
-        eps_max=_positive(spec.get("eps_max", 0.05), path + ".eps_max"),
-        eta=_positive(spec.get("eta", 0.25), path + ".eta"))
+        eps_max=_positive(path + ".eps_max", spec.get("eps_max", 0.05)),
+        eta=_positive(path + ".eta", spec.get("eta", 0.25)))
 
 
 def _potential_from_json(spec, path):
     kind = spec.get("type", "gaussian")
     if kind == "gaussian":
         amp = float(spec.get("amplitude", 1.0))
-        width = _positive(spec.get("width", 1.0), path + ".width")
+        width = _positive(path + ".width", spec.get("width", 1.0))
         center = float(spec.get("center", 0.0))
 
         def V(x):
@@ -344,13 +336,12 @@ def _potential_from_json(spec, path):
 @_parser
 def edge_model_from_json(spec, path="edge"):
     n = int(spec["n"])
-    B = np.real(_matrix(spec["B"], path + ".B", n))
+    B = _matrix(spec["B"], path + ".B", n)
     kernel = kernel_from_json(spec.get("kernel"), n, path + ".kernel")
-    dirac = (np.real(_matrix(spec["dirac"], path + ".dirac", n))
-             if "dirac" in spec else None)
+    dirac = _matrix(spec["dirac"], path + ".dirac", n) if "dirac" in spec else None
     pert = spec.get("perturbation", {})
     V = _potential_from_json(pert.get("V", {}), path + ".perturbation.V")
-    P = (np.real(_matrix(pert["matrix"], path + ".perturbation.matrix", n))
+    P = (_matrix(pert["matrix"], path + ".perturbation.matrix", n)
          if "matrix" in pert else None)
     pk = kernel_from_json(pert.get("kernel"), n, path + ".perturbation.kernel") \
         if "kernel" in pert else None
@@ -358,8 +349,8 @@ def edge_model_from_json(spec, path="edge"):
         _fail(path, "perturbation needs 'matrix' or 'kernel'")
     return EdgeModel(
         n=n, B=B, kernel=kernel, dirac=dirac, V=V, P=P, pert_kernel=pk,
-        eta=_positive(spec.get("eta", 0.5), path + ".eta"),
-        weight_eta=_positive(spec.get("weight_eta", 0.5), path + ".weight_eta"))
+        eta=_positive(path + ".eta", spec.get("eta", 0.5)),
+        weight_eta=_positive(path + ".weight_eta", spec.get("weight_eta", 0.5)))
 
 
 def load_config(path):

@@ -33,6 +33,7 @@ from .errors import (ConfigurationError, DegeneracyViolated, NonrealSpectrum,
                      RepeatedSpeeds, SingularMatrix)
 from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
                        newton_solve)
+from .kernels import _real
 from .symbols import ShiftTerm, Symbol
 from .flow import weighted_index
 
@@ -66,7 +67,8 @@ class ShockModel:
 
     Fluxes are linear by default; optional quadratic tensors F2, G2 add
     F_i += 0.5 * F2[i,j,k] u_j u_k (same for G).  The source is a
-    callable x -> (len(x), n) array, exponentially localized.
+    callable x -> (len(x), n) array, exponentially localized.  The flux
+    data must be real (ConfigurationError otherwise).
     """
 
     n: int
@@ -80,14 +82,14 @@ class ShockModel:
     eta: float = 0.25                  # weight rate for the correction term
 
     def __post_init__(self):
-        self.dF = np.atleast_2d(np.asarray(self.dF, dtype=float))
-        self.dG = np.atleast_2d(np.asarray(self.dG, dtype=float))
+        self.dF = np.atleast_2d(_real(self.dF, "dF"))
+        self.dG = np.atleast_2d(_real(self.dG, "dG"))
         if abs(np.linalg.det(self.dG)) < 1e-12:
             raise SingularMatrix("dG must be invertible")
         if self.F2 is not None:
-            self.F2 = np.asarray(self.F2, dtype=float)
+            self.F2 = _real(self.F2, "F2")
         if self.G2 is not None:
-            self.G2 = np.asarray(self.G2, dtype=float)
+            self.G2 = _real(self.G2, "G2")
 
     # -- flux evaluations -------------------------------------------------
 
@@ -221,13 +223,15 @@ class _ShockSystem(WeightedWindow):
         # and the profile on it, so window-edge quadrature errors act
         # only on quantities that vanish there; the constant tails beyond
         # the extension are exact.  One matrix holds the window rows of the
-        # extended-grid convolution.
+        # extended-grid convolution; a complex one (complex kernel data) is
+        # refused.
         dK = model.kernel.derivative()
         self.K_jump = model.kernel.jump()
         next_ = int(round(12.0 / self.h))
         self.win = slice(next_, next_ + self.m)
         self.x_ext = x_ext = -grid.L + self.h * np.arange(-next_, self.m + next_)
-        self.C = conv_matrix(dK, len(x_ext), n, self.h, float)[
+        self.C = _real(conv_matrix(dK, len(x_ext), n, self.h),
+                       "kernel (its K' convolution matrix)")[
             self.win.start * n:self.win.stop * n].copy()
         self.chi_p_ext = 0.5 * (1.0 + np.tanh(x_ext))
         self.chi_m_ext = 0.5 * (1.0 - np.tanh(x_ext))

@@ -32,6 +32,7 @@ from .errors import (CompatibilityViolated, GenericityViolated, NewtonDiverged,
                      RankMismatch)
 from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
                        newton_solve)
+from .kernels import _real
 from .roots import Rectangle, newton_root
 from .symbols import ShiftTerm, Symbol
 
@@ -55,7 +56,8 @@ class EdgeModel:
     `kernel` and `dirac` describe the unperturbed part in the convention
     U' + K*U + dirac U - lambda B U = 0 (K may be None).  The
     perturbation acts as eps * V(xi) * (P U) for a matrix P, or
-    eps * V(xi) * (pert_kernel * U) for a kernel.
+    eps * V(xi) * (pert_kernel * U) for a kernel.  B, dirac and P must be
+    real (ConfigurationError otherwise).
     """
 
     n: int
@@ -69,11 +71,13 @@ class EdgeModel:
     weight_eta: float = 0.5            # decay rate enforced on the remainder
 
     def __post_init__(self):
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
+        self.B = np.atleast_2d(_real(self.B, "B"))
         if self.dirac is not None:
-            self.dirac = np.atleast_2d(np.asarray(self.dirac, dtype=float))
+            self.dirac = np.atleast_2d(_real(self.dirac, "dirac"))
         if self.P is not None:
-            self.P = np.atleast_2d(np.asarray(self.P, dtype=float))
+            self.P = np.atleast_2d(_real(self.P, "P"))
+        # the kernel in the symbol's sign convention, wrapped once
+        self._kernel_neg = None if self.kernel is None else self.kernel.scaled(-1.0)
 
     def zero_shift(self, lam):
         """lam B minus the Dirac matrix: the zero-shift term of symbol_at."""
@@ -84,9 +88,8 @@ class EdgeModel:
 
     def symbol_at(self, lam):
         """Constant-coefficient symbol of the unperturbed operator."""
-        kernel = None if self.kernel is None else self.kernel.scaled(-1.0)
-        return Symbol(self.n, kernel, (ShiftTerm(0.0, self.zero_shift(lam)),),
-                      self.eta)
+        return Symbol(self.n, self._kernel_neg,
+                      (ShiftTerm(0.0, self.zero_shift(lam)),), self.eta)
 
     def pert_transform0(self):
         if self.P is not None:
@@ -101,8 +104,6 @@ class EdgeModel:
 
 def _adjugate(A):
     n = A.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=A.dtype)
     adj = np.empty_like(A)
     for i in range(n):
         for j in range(n):
@@ -342,13 +343,16 @@ class _EdgeSystem(WeightedWindow):
 
         self.Vx = np.asarray(model.V(self.x), dtype=float).reshape(self.m)
 
-        # window convolution matrix of the base kernel acting on w
-        self.kernel_o = self.Cw = self.pert_Cw = None
+        # window convolution matrices of the base and perturbation kernels
+        # acting on w; a complex one (complex kernel data) is refused
+        self.Cw = self.pert_Cw = None
         if model.kernel is not None:
-            self.kernel_o = model.kernel.scaled(-1.0)
-            self.Cw = conv_matrix(self.kernel_o, self.m, self.n, self.h)
+            self.Cw = _real(conv_matrix(model._kernel_neg, self.m, self.n, self.h),
+                            "kernel (its convolution matrix)")
         if model.pert_kernel is not None:
-            self.pert_Cw = conv_matrix(model.pert_kernel, self.m, self.n, self.h)
+            self.pert_Cw = _real(
+                conv_matrix(model.pert_kernel, self.m, self.n, self.h),
+                "perturbation kernel (its convolution matrix)")
 
     # -- far-field data ---------------------------------------------------
 
@@ -377,7 +381,7 @@ class _EdgeSystem(WeightedWindow):
 
     def window_conv(self, C, kernel, Ufull, a_minus, nu_p, nu_m, e_p, e_m):
         """kernel * U: window matrix C plus far tails by partial transforms."""
-        out = (C @ Ufull.reshape(-1)).real.reshape(self.m, self.n)
+        out = (C @ Ufull.reshape(-1)).reshape(self.m, self.n)
         L = self.grid.L
         tr = kernel.head_transform(self.x - L, np.real(nu_p))
         out = out + np.real(
@@ -396,7 +400,7 @@ class _EdgeSystem(WeightedWindow):
         R = Uprime - Ufull @ self.model.zero_shift(lam).T
         tails = (a_minus, nu_p, nu_m, e_p, e_m)
         if self.Cw is not None:
-            R = R - self.window_conv(self.Cw, self.kernel_o, Ufull, *tails)
+            R = R - self.window_conv(self.Cw, self.model._kernel_neg, Ufull, *tails)
         if self.model.P is not None:
             pert = Ufull @ self.model.P.T
         else:
@@ -433,10 +437,10 @@ class _EdgeSystem(WeightedWindow):
                                  format="csc")
         JW = JW.toarray()
         if self.Cw is not None:
-            JW -= self.Cw.real * invW[None, :]
+            JW -= self.Cw * invW[None, :]
         if self.pert_Cw is not None:
             JW += self.eps * (np.repeat(self.Vx, n)[:, None]
-                              * self.pert_Cw.real) * invW[None, :]
+                              * self.pert_Cw) * invW[None, :]
         return np.hstack([Jp, JW[:, self.active_flat]])
 
 

@@ -8,8 +8,9 @@ Exponential weights enter as an exact diagonal conjugation with the
 smooth profile exp(w(xi)), w'(xi) -> gamma_[-,+] as xi -> -+infinity.
 One row rule builds every matrix: `_fill` subtracts each node's
 convolution row (`_conv_row`) and shifts, and the constant symbol, the
-xi-dependent operator and its adjoint only supply their row data.  The
-matrix is complex exactly when some row datum has an imaginary part.
+xi-dependent operator, its adjoint and the bare convolution matrix
+(`conv_matrix`) only supply their row data.  The matrix is complex
+exactly when some row datum has an imaginary part.
 
 The same discretization kit serves the two Newton applications: the
 trapezoid-plus-kink convolution matrix (its corrections read the jumps
@@ -179,20 +180,20 @@ def _conv_row(i, vals, edge, w_quad, h):
     return blk.transpose(1, 0, 2).reshape(n, m * n)
 
 
-def conv_matrix(kernel, m, n, h, dtype=complex):
+def conv_matrix(kernel, m, n, h):
     """Trapezoid convolution matrix on m nodes of spacing h.
 
-    Block row i is `_conv_row`; with dtype float only the real parts of
-    the kernel data enter.
+    Block row i is `_conv_row`, filled by `_fill` from `_typed` row data,
+    so the matrix is float64 unless some kernel datum is complex.  The
+    sign flip 0 - M leaves no negative zeros.
     """
-    part = np.real if dtype is float else np.asarray
-    table = part(kernel.value(h * np.arange(-(m - 1), m)))
-    edge = tuple(part(v) for v in _edge_data(kernel))
-    w_quad = trapezoid_weights(m, h)
-    C = np.empty((m * n, m * n), dtype=dtype)
-    for i in range(m):
-        C[i * n:(i + 1) * n] = _conv_row(i, table[i:i + m][::-1], edge, w_quad, h)
-    return C
+    table, edge, _, cplx = _typed(kernel.value(h * np.arange(-(m - 1), m)),
+                                  _edge_data(kernel), [])
+
+    def row(i):
+        return table[i:i + m][::-1], edge, [], cplx
+    M = _fill(np.zeros((m * n, m * n)), h * np.arange(m), h, row)
+    return np.subtract(0.0, M, out=M)
 
 
 def _derivative_matrix(m, h):

@@ -51,6 +51,23 @@ def _positive(name, x):
     return x
 
 
+def _real(value, name):
+    """value as a float array; a nonzero imaginary part is a ConfigurationError."""
+    A = np.asarray(value)
+    if np.iscomplexobj(A) and np.any(A.imag):
+        raise ConfigurationError(f"{name} must be real, got imaginary parts "
+                                 f"up to {np.abs(A.imag).max():g}")
+    return np.real(A).astype(float, copy=False)
+
+
+def _check_strip(nu, eta):
+    """Raise StripViolation unless every |Re nu| is below eta."""
+    re = np.max(np.abs(np.real(np.asarray(nu))))
+    if re >= eta:
+        raise StripViolation(
+            f"|Re nu| = {re:g} outside the strip |Re nu| < {eta:g}")
+
+
 def trapezoid_weights(m, h):
     """Trapezoid-rule weights on m equispaced nodes of spacing h."""
     w = np.full(m, h)
@@ -288,7 +305,8 @@ class GaussianKernel(KernelSpec):
     value(zeta) = poly(zeta - mu) * exp(-(zeta - mu)^2 / (2 sigma^2)) * M.
     The transform is poly-in-nu times exp(-nu mu + sigma^2 nu^2 / 2),
     with the polynomial generated by the moment recurrence, so all three
-    orders are exact.
+    orders are exact.  That polynomial, its first two derivatives and
+    both bounds are computed once, at construction.
     """
 
     def __init__(self, n, sigma, M, mu=0.0, poly=(1.0,)):
@@ -297,6 +315,11 @@ class GaussianKernel(KernelSpec):
         self.mu = float(mu)
         self.poly = tuple(complex(c) for c in poly)
         self.M = _as_matrix(M, self.n).astype(complex)
+        R = self._transform_poly()
+        R1 = _poly_deriv(R)
+        self._tpoly = (R, R1, _poly_deriv(R1))
+        self._l1 = 1.0001 * self._abs_moment(0)
+        self._moment = 1.0001 * self._abs_moment(1)
 
     @property
     def strip(self):
@@ -326,17 +349,16 @@ class GaussianKernel(KernelSpec):
     def transform(self, nu, order=0):
         nu = np.asarray(nu, dtype=complex)
         s2 = self.sigma ** 2
-        R = self._transform_poly()
+        R, R1, R2 = self._tpoly
         core = math.sqrt(2 * math.pi) * self.sigma * np.exp(-nu * self.mu + 0.5 * s2 * nu * nu)
         a = s2 * nu - self.mu  # log-derivative of the core
         Rv = _poly_val(R, nu)
         if order == 0:
             amp = Rv
         elif order == 1:
-            amp = _poly_val(_poly_deriv(R), nu) + a * Rv
+            amp = _poly_val(R1, nu) + a * Rv
         elif order == 2:
-            R1 = _poly_deriv(R)
-            amp = (_poly_val(_poly_deriv(R1), nu) + 2 * a * _poly_val(R1, nu)
+            amp = (_poly_val(R2, nu) + 2 * a * _poly_val(R1, nu)
                    + (a * a + s2) * Rv)
         else:
             raise ConfigurationError("order must be 0, 1 or 2")
@@ -417,10 +439,10 @@ class GaussianKernel(KernelSpec):
         return float(np.trapezoid(vals, grid)) * _spec_norm(self.M)
 
     def l1_bound(self):
-        return 1.0001 * self._abs_moment(0)
+        return self._l1
 
     def moment_bound(self):
-        return 1.0001 * self._abs_moment(1)
+        return self._moment
 
 
 class SampledKernel(KernelSpec):
@@ -475,12 +497,6 @@ class SampledKernel(KernelSpec):
         phase = np.exp(-nu[..., None] * z) * (-z) ** order
         return phase[..., :, None, None] * self.samples
 
-    def check_strip(self, nu):
-        re = np.max(np.abs(np.real(np.asarray(nu))))
-        if re >= self.strip:
-            raise StripViolation(
-                f"|Re nu| = {re:g} is not inside the strip |Re nu| < {self.strip:g}")
-
     def _kink(self, g):
         """(h^2/12) (g'(0+) - g'(0-)) by 4-point one-sided differences at node 0, else 0."""
         i, h = self._i0, self.h
@@ -498,7 +514,7 @@ class SampledKernel(KernelSpec):
 
     def transform(self, nu, order=0):
         self._require_tail()
-        self.check_strip(nu)
+        _check_strip(nu, self.strip)
         return self._rule(self._integrand(nu, order))
 
     def value(self, zeta):

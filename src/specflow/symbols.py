@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StripViolation
-from .kernels import KernelSpec, SumKernel
+from .kernels import KernelSpec, SumKernel, _check_strip
 
 __all__ = [
     "ShiftTerm", "Symbol", "OperatorFamily", "weight_shift", "combine_symbols",
@@ -78,10 +78,7 @@ class Symbol:
 
     def check_strip(self, nu):
         """Raise StripViolation unless every |Re nu| is below eta."""
-        re = np.max(np.abs(np.real(np.asarray(nu))))
-        if re >= self.eta:
-            raise StripViolation(
-                f"|Re nu| = {re:g} outside the strip |Re nu| < {self.eta:g}")
+        _check_strip(nu, self.eta)
 
     # -- evaluation -----------------------------------------------------
 

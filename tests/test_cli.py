@@ -206,7 +206,11 @@ def test_invalid_schema_exit_code(tmp_path, config):
     # a NaN bound makes the |eps| guard always false
     (None, "eps_max", float("nan")),
     (None, "eta", float("nan")),
-], ids=["F2_shape", "G2_shape", "vector_length", "eps_max_nan", "eta_nan"])
+    # real models refuse complex kernels and matrices instead of casting
+    (None, "kernel", {"family": "exponential", "a": 2.0, "M": [[[1.0, 0.7]]]}),
+    ("flux", "dF", [[[1.0, 0.7]]]),
+], ids=["F2_shape", "G2_shape", "vector_length", "eps_max_nan", "eta_nan",
+        "kernel_complex", "dF_complex"])
 def test_invalid_shock_schema_exit_code(tmp_path, section, key, value):
     cfg = json.loads((CONFIGS / "shock_scalar.json").read_text())
     (cfg if section is None else cfg[section])[key] = value
@@ -252,8 +256,10 @@ def test_edge_potential_zero_width_exit_code(tmp_path):
     ("eps", "[]"),
     ("eps", "[0.04, 0.0]"),
     ("eps", "[0.04, NaN]"),
+    ("B", "[[0.0, 0.0], [[1.0, 0.3], 0.0]]"),
 ], ids=["weight_eta_nan", "weight_eta_overflow", "weight_eta_zero",
-        "weight_eta_negative", "eta_nan", "eps_empty", "eps_zero", "eps_nan"])
+        "weight_eta_negative", "eta_nan", "eps_empty", "eps_zero", "eps_nan",
+        "B_complex"])
 def test_invalid_edge_schema_exit_code(tmp_path, key, raw):
     cfg = json.loads((CONFIGS / "schrodinger_well.json").read_text())
     cfg[key] = "@"

@@ -244,6 +244,15 @@ def test_zero_speed_grid_oracle_agreement_resolved_window():
     assert idx == linearization_index(model, 0.3) == -2
 
 
+@pytest.mark.parametrize("field", ["dF", "dG", "F2", "G2"])
+def test_complex_flux_data_is_refused(field):
+    data = {"dF": [[1.0]], "dG": [[1.0]], "F2": [[[1.0]]], "G2": [[[1.0]]]}
+    data[field] = np.array(data[field]) + 0.5j
+    with pytest.raises(ConfigurationError, match=field):
+        ShockModel(n=1, kernel=exponential_kernel(2.0, [[1.0]]),
+                   source=gaussian_source([1.0]), **data)
+
+
 @pytest.mark.parametrize("kernel", [exponential_kernel(2.0, [[1.0]]),
                                     one_sided_exponential_kernel(1.0, [[1.0]])],
                          ids=["exponential", "one_sided"])

@@ -6,8 +6,9 @@ import specflow.griddisc as griddisc
 from specflow.edgebif import (EdgeModel, _EdgeSystem, diffusive_check,
                               edge_constant, edge_eigenvalue, edge_scaling,
                               edge_vectors, smooth_ramp)
+from specflow.errors import ConfigurationError
 from specflow.griddisc import Grid, assemble, fd_columns, nullity
-from specflow.kernels import ExpPolyKernel
+from specflow.kernels import ExpPolyKernel, gaussian_kernel
 
 from oracles import shallow_well_eigenvalue
 
@@ -208,7 +209,6 @@ def test_eigenvalue_off_essential_spectrum():
 
 def kernel_perturbation_model():
     """The Schrodinger trap with a Gaussian perturbation kernel for P."""
-    from specflow.kernels import gaussian_kernel
     pk = gaussian_kernel(0.5, [[0.0, 0.0], [1.0, 0.0]])
     return EdgeModel(n=2, B=[[0, 0], [1, 0]], dirac=[[0, -1], [0, 0]],
                      V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
@@ -222,6 +222,25 @@ def test_convolution_perturbation_kernel_path():
     r = edge_eigenvalue(model, 0.02)
     assert r.lam > 0
     assert r.lam / 0.02 ** 2 == pytest.approx(np.pi / 4, rel=0.05)
+
+
+@pytest.mark.parametrize("field", ["B", "dirac", "P"])
+def test_complex_model_data_is_refused(field):
+    data = {"B": [[0.0, 0.0], [1.0, 0.0]], "dirac": [[0.0, -1.0], [0.0, 0.0]],
+            "P": [[0.0, 0.0], [1.0, 0.0]]}
+    data[field] = np.array(data[field]) + 0.3j
+    with pytest.raises(ConfigurationError, match=field):
+        EdgeModel(n=2, V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
+                  **data)
+
+
+def test_complex_perturbation_kernel_is_refused():
+    pk = gaussian_kernel(0.5, [[0.0, 0.0], [1.0, 0.2j]])
+    model = EdgeModel(n=2, B=[[0, 0], [1, 0]], dirac=[[0, -1], [0, 0]],
+                      V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
+                      pert_kernel=pk, eta=0.5, weight_eta=0.5)
+    with pytest.raises(ConfigurationError, match="perturbation kernel"):
+        edge_eigenvalue(model, 0.02, grid=Grid(20.0, 0.2))
 
 
 def test_trivial_branch_at_zero_perturbation():

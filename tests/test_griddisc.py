@@ -356,6 +356,26 @@ def test_conv_matrix_interior_rows_match_quadrature(kernel):
         assert approx[i] == pytest.approx(exact(x[i]), abs=1e-6)
 
 
+@pytest.mark.parametrize("M, dtype", [([[1.0, 0.3], [-0.2, 0.5]], np.float64),
+                                      ([[1.0, 0.3j], [-0.2, 0.5]], np.complex128)],
+                         ids=["real", "complex"])
+def test_conv_matrix_is_the_fill_of_conv_rows(M, dtype):
+    # the type comes from the entries, and block row i is _conv_row bit for bit
+    kernel = exponential_kernel(2.0, M)
+    m, h = 41, 0.1
+    C = conv_matrix(kernel, m, 2, h)
+    assert C.dtype == dtype
+    table = kernel.value(h * np.arange(-(m - 1), m))
+    edge = griddisc._edge_data(kernel)
+    if dtype is np.float64:
+        table, edge = table.real, [e.real for e in edge]
+    w = griddisc.trapezoid_weights(m, h)
+    rows = np.vstack([griddisc._conv_row(i, table[i:i + m][::-1], edge, w, h)
+                      for i in range(m)])
+    assert np.array_equal(C, rows)
+    assert not np.any(np.signbit(C.real) & (C.real == 0))
+
+
 def _circle_line(z):
     return np.array([z[0] ** 2 + z[1] ** 2 - 4.0, z[1] - z[0]])
 

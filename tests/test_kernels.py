@@ -4,10 +4,11 @@ from scipy.integrate import quad
 
 from specflow.charmatrix import delta_eval
 from specflow.errors import QuadratureTail, StripViolation
+from specflow.flow import fredholm_index
 from specflow.kernels import (ExpPolyKernel, GaussianKernel, SumKernel,
                               exponential_kernel, gaussian_kernel,
                               one_sided_exponential_kernel, sample_kernel)
-from specflow.symbols import combine_symbols
+from specflow.symbols import ShiftTerm, Symbol, combine_symbols
 
 from conftest import random_2x2_symbol, random_scalar_symbol
 
@@ -255,6 +256,19 @@ def test_scaled_and_weighted_sum(name):
     assert nested.terms == tuple((2.0 * w, p) for w, p in pair.terms)
     assert nested.l1_bound() == pytest.approx(
         2.0 * (abs(c) * K.l1_bound() + abs(d) * other.l1_bound()), rel=1e-14)
+
+
+def test_gaussian_bounds_are_computed_at_construction(monkeypatch):
+    # the flow asks for l1_bound at every margin evaluation; a Gaussian
+    # answers from the bounds it took when it was built
+    s_minus = Symbol(1, gaussian_kernel(0.5, [[0.5]]), (ShiftTerm(0.0, [[-2.0]]),), 1.5)
+    s_plus = Symbol(1, gaussian_kernel(0.7, [[-0.4]]), (ShiftTerm(0.0, [[2.0]]),), 1.5)
+    calls = []
+    moment = GaussianKernel._abs_moment
+    monkeypatch.setattr(GaussianKernel, "_abs_moment",
+                        lambda self, p: calls.append(p) or moment(self, p))
+    assert fredholm_index(s_minus, s_plus) == -1
+    assert calls == []
 
 
 def test_combine_symbols_is_affine_in_delta(rng):
