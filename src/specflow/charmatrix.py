@@ -12,6 +12,8 @@ axis cutoff and a Lipschitz-controlled scan.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
 # _FLOOR_STEP, where a margin at most _ROOT_TOL is a root
 _FLOOR_STEP = 1e-9
 _ROOT_TOL = 1e-12
+_ROUNDING = 1e-12       # relative margin of every cleared winding cell
 _MAX_ROUNDS = 64
 _REFINE_ROUNDS = 12     # ring refinements per candidate dip in axis_margin
 
@@ -135,22 +138,35 @@ def axis_lipschitz(symbol):
     return 1.0 + km + sum(abs(s.xi) * a for s, a in zip(symbol.shifts, symbol.shift_norms))
 
 
-def _sigma_min_axis(symbol, ells):
-    """Smallest singular value of Delta(i ell) for an array of ells."""
+def _axis_values(symbol, ells, with_det=True):
+    """sigma_min(Delta(i ell)) and det Delta(i ell) for an array of ells.
+
+    Both come from the same evaluation of Delta.  For n >= 3 the
+    determinant is an extra batched factorisation, computed only when
+    `with_det` is True (None otherwise).
+    """
     D = delta_eval(symbol, 1j * np.asarray(ells, dtype=float))
     n = symbol.n
     if n == 1:
-        return np.abs(D[..., 0, 0])
+        det = D[..., 0, 0]
+        return np.abs(det), det
     if n == 2:
         # closed form for 2x2: avoids batched SVD overhead in scans.
         # sigma_min is computed as |det| / sigma_max, which stays accurate
         # near roots where the direct subtraction formula cancels.
+        det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
         fro2 = np.sum(np.abs(D) ** 2, axis=(-2, -1))
-        adet = np.abs(D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0])
+        adet = np.abs(det)
         disc = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * adet * adet, 0.0))
         smax = np.sqrt(np.maximum(0.5 * (fro2 + disc), 0.0))
-        return np.where(smax > 0, adet / np.maximum(smax, 1e-300), 0.0)
-    return np.linalg.svd(D, compute_uv=False)[..., -1]
+        return np.where(smax > 0, adet / np.maximum(smax, 1e-300), 0.0), det
+    return (np.linalg.svd(D, compute_uv=False)[..., -1],
+            np.linalg.det(D) if with_det else None)
+
+
+def _sigma_min_axis(symbol, ells):
+    """Smallest singular value of Delta(i ell) for an array of ells."""
+    return _axis_values(symbol, ells, with_det=False)[0]
 
 
 @dataclass
@@ -161,27 +177,56 @@ class HyperbolicityResult:
     witnesses: list[float]
     inconclusive: bool = False
     samples: int = 0
+    winding: int | None = None    # certified W, exactly when hyperbolic
 
 
 def is_hyperbolic(symbol):
-    """Certify that det Delta(i ell) never vanishes on the real axis.
+    """Certify that det Delta(i ell) never vanishes on the real axis, and
+    certify its winding W.
 
-    Beyond the cutoff from `axis_cutoff` invertibility holds by the norm
-    bound.  Inside, the axis is scanned and refined: the interval between
-    two samples is cleared when the sampled singular values dominate the
-    Lipschitz variation across it.  Refinement that hits the floor step
-    with a margin below `_ROOT_TOL` reports a root; a floor hit with a
-    small but nonzero margin, or intervals left after `_MAX_ROUNDS`, is
-    flagged inconclusive.  Non-finite samples or bounds raise a
-    ConfigurationError before any refinement.
+    W is the winding number of f(ell) = det Delta(i ell) / (i ell + 1)^n
+    over the real line; the Fredholm index of a pair of hyperbolic limits
+    is W(s_plus) - W(s_minus).  With B = (l1 bound) + sum |A_j| and
+    q = sin(pi / 2n):
+
+    * Tails.  Delta(i ell) / (i ell + 1) = I - E with
+      |E| <= (1 + B) / sqrt(1 + ell^2), at most q beyond T.  There every
+      eigenvalue of I - E lies in |mu - 1| <= q, so |arg f| <= pi/2: no
+      roots, and the tails wind by exactly the principal values Arg f(-R)
+      and -Arg f(R), R = max(T, `axis_cutoff`).
+    * Cells.  [-R, R] is sampled and bisected.  A cell [a, b] is cleared
+      when L (b - a) (1 + 1e-12) < q (sigma(a) + sigma(b)), with
+      L = `axis_lipschitz` and sigma = sigma_min(Delta(i .)).  Split it
+      at t with L (t - a) / sigma(a) = L (b - t) / sigma(b) = r < q.  On
+      [a, t], Delta(i a)^-1 Delta(i ell) = I + F with |F| <= r, so every
+      eigenvalue of I + F lies within q of 1 and det(I + F) stays within
+      pi/2 of 1's phase; the same holds on [t, b] from b.  So d has no
+      root in the cell, and its phase changes across it by less than pi:
+      by the principal value Arg(d(b) / d(a)).  The 1e-12 margin covers
+      the rounding of the sampled sigma; T carries the same margin.
+
+    The cell rule implies the root-free test sigma(a) + sigma(b) > L (b - a).
+    A cell narrower than the floor step that fails even that test is
+    refused: a margin at most `_ROOT_TOL` reports a root, a larger one is
+    inconclusive.  Root-free cells are bisected past the floor until they
+    clear, so hyperbolicity is decided by the root-free test at the floor
+    step; cells left after `_MAX_ROUNDS` are inconclusive.  `hyperbolic`
+    is True exactly when no cell is left, and then `winding` holds W.
+    Non-finite samples or bounds raise a ConfigurationError before any
+    refinement.
     """
     cap = axis_cutoff(symbol)
     lip = max(axis_lipschitz(symbol), 1e-12)
     if not (np.isfinite(cap) and np.isfinite(lip)):
         raise ConfigurationError("axis cutoff and Lipschitz bound must be finite")
+    n = symbol.n
+    q = math.sin(0.5 * math.pi / n)
+    bound = (cap - 1.0) / n            # B, from axis_cutoff = n B + 1
+    tail = math.sqrt(((1.0 + bound) / q) ** 2 - 1.0) * (1.0 + _ROUNDING)
+    cap = max(cap, tail)
     m0 = max(129, int(min(8 * cap, 4096)) | 1)
     ells = np.linspace(-cap, cap, m0)
-    sig = _sigma_min_axis(symbol, ells)
+    sig, det = _axis_values(symbol, ells)
     if not np.all(np.isfinite(sig)):
         raise ConfigurationError("the axis margin has non-finite samples")
     samples = m0
@@ -192,10 +237,14 @@ def is_hyperbolic(symbol):
     witness = float(ells[int(np.argmin(sig))])
     roots = []
     inconclusive = False
+    # every sample, for the phase: the cleared intervals are the gaps
+    # between them
+    points, dets = [ells], [det]
+    slope = lip * (1.0 + _ROUNDING) / q     # the cell rule, divided by q
 
     for _ in range(_MAX_ROUNDS):
         width = hi - lo
-        cleared = slo + shi > lip * width
+        cleared = slope * width < slo + shi
         # drop cleared intervals, bisect the rest
         keep = ~cleared
         if not keep.any():
@@ -204,6 +253,8 @@ def is_hyperbolic(symbol):
         width = hi - lo
         at_floor = width < _FLOOR_STEP
         if at_floor.any():
+            # past the floor step only root-free cells are bisected further
+            at_floor &= ~(slo + shi > lip * width)
             best = np.minimum(slo[at_floor], shi[at_floor])
             for b, lval in zip(best, lo[at_floor]):
                 if b <= _ROOT_TOL:
@@ -214,8 +265,10 @@ def is_hyperbolic(symbol):
             if lo.size == 0:
                 break
         mid = 0.5 * (lo + hi)
-        smid = _sigma_min_axis(symbol, mid)
+        smid, dmid = _axis_values(symbol, mid)
         samples += mid.size
+        points.append(mid)
+        dets.append(dmid)
         mloc = float(smid.min()) if smid.size else margin
         if mloc < margin:
             margin = mloc
@@ -228,10 +281,19 @@ def is_hyperbolic(symbol):
         inconclusive = True  # the rounds ran out with intervals left
 
     hyperbolic = not roots and not inconclusive
+    winding = None
+    if hyperbolic:
+        # phase of f: both tails, the denominator across [-cap, cap] and
+        # the principal phase step of d across each cell
+        d = np.concatenate(dets)[np.argsort(np.concatenate(points))]
+        phase = (cmath.phase(d[0] / (1 - 1j * cap) ** n)
+                 - cmath.phase(d[-1] / (1 + 1j * cap) ** n)
+                 - 2 * n * math.atan(cap) + float(np.angle(d[1:] / d[:-1]).sum()))
+        winding = round(phase / (2 * math.pi))
     wit = roots if roots else [witness]
     return HyperbolicityResult(hyperbolic=hyperbolic, margin=margin, l_cap=cap,
                                witnesses=wit, inconclusive=inconclusive,
-                               samples=samples)
+                               samples=samples, winding=winding)
 
 
 def _dips(vals, trigger):

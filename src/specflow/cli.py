@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import traceback
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,8 @@ from .charmatrix import is_hyperbolic
 from .conslaw import (characteristic_speeds, jump_leading_order,
                       shock_profile, zero_speed_selection, zero_speeds)
 from .edgebif import edge_scaling
-from .errors import ConfigurationError, NumericalError, SpecflowError
-from .flow import crossing_number, fredholm_index
-from .rational import axis_winding
+from .errors import ConfigurationError, NumericalError
+from .flow import _check_scan, crossing_number, winding_index
 from .roots import Rectangle, locate_roots
 
 __all__ = ["main", "run", "specmap"]
@@ -65,35 +64,25 @@ def _write_csv(outdir, name, header, rows):
     return str(outdir / name)
 
 
-def specmap(minus_at, plus_at, re_vals, im_vals, scan_points):
+def specmap(minus_at, plus_at, re_vals, im_vals):
     """Fredholm-index map over a rectangle of spectral parameters.
 
     For each lambda on the grid both limit symbols are tested for
-    hyperbolicity; where both pass, the index of the pair is computed:
-    exactly as W(s_plus) - W(s_minus) when both limits are rational
-    (`rational.axis_winding`), by spectral flow otherwise.  Nodes run
-    serially: a thread pool was measured slower than one thread.
-    Returns (records, borders): records hold per-point results, borders
-    the essential-spectrum boundary points localized by bisection along
-    grid edges where hyperbolicity flips.
+    hyperbolicity; where both pass, the index of the pair is
+    W(s_plus) - W(s_minus) from the certified windings of the same two
+    tests.  Nodes run serially: a thread pool was measured slower than
+    one thread.  Returns (records, borders): records hold per-point
+    results, borders the essential-spectrum boundary points localized by
+    bisection along grid edges where hyperbolicity flips.
     """
     def evaluate(lam):
-        sm, sp = minus_at(lam), plus_at(lam)
-        hm = is_hyperbolic(sm)
-        hp = is_hyperbolic(sp)
+        hm = is_hyperbolic(minus_at(lam))
+        hp = is_hyperbolic(plus_at(lam))
         idx = None
-        note = ""
         if hm.hyperbolic and hp.hyperbolic:
-            w_minus, w_plus = axis_winding(sm), axis_winding(sp)
-            if w_minus is not None and w_plus is not None:
-                idx = w_plus - w_minus
-            else:
-                try:
-                    idx = fredholm_index(sm, sp, scan_points=scan_points)
-                except SpecflowError as exc:
-                    note = type(exc).__name__
+            idx = hp.winding - hm.winding
         return {"lambda": lam, "hyp_minus": hm.hyperbolic,
-                "hyp_plus": hp.hyperbolic, "index": idx, "note": note}
+                "hyp_plus": hp.hyperbolic, "index": idx}
 
     records = [evaluate(complex(re, im)) for im in im_vals for re in re_vals]
     borders = []
@@ -172,7 +161,9 @@ def _cmd_index(args, outdir):
     if "s_minus" in cfg and "s_plus" in cfg:
         sm = configio.symbol_from_json(cfg["s_minus"], "s_minus")
         sp = configio.symbol_from_json(cfg["s_plus"], "s_plus")
-        idx = fredholm_index(sm, sp, scan_points=args.scan)
+        # the windings need no scan; --scan is checked as the flow would
+        _check_scan(args.scan)
+        idx = winding_index(sm, sp)
     else:
         fam = configio.family_from_json(cfg)
         idx = crossing_number(fam, scan_points=args.scan).index
@@ -220,24 +211,18 @@ def _cmd_specmap(args, outdir):
     plus_at = configio.pencil_from_json(limits.get("plus"), "limits.plus")
     re_vals = _parse_range("--re", args.re)
     im_vals = _parse_range("--im", args.im)
-    # the flow fallback would refuse a shorter scan at every node
-    if args.scan < 2:
-        raise ConfigurationError(
-            f"a crossing scan needs at least 2 points, got {args.scan}")
-    records, borders = specmap(minus_at, plus_at, re_vals, im_vals, args.scan)
+    records, borders = specmap(minus_at, plus_at, re_vals, im_vals)
     _write_csv(outdir, "specmap.csv",
-               ["re_lambda", "im_lambda", "hyp_minus", "hyp_plus", "index", "note"],
+               ["re_lambda", "im_lambda", "hyp_minus", "hyp_plus", "index"],
                [(r["lambda"].real, r["lambda"].imag,
                  int(r["hyp_minus"]), int(r["hyp_plus"]),
-                 "" if r["index"] is None else r["index"], r["note"])
+                 "" if r["index"] is None else r["index"])
                 for r in records])
     _write_csv(outdir, "borders.csv", ["re_lambda", "im_lambda"],
                [(b.real, b.imag) for b in borders])
     n_idx = sum(1 for r in records if r["index"] is not None)
-    notes = Counter(r["note"] for r in records if r["note"])
     _write_json(outdir, "result.json", {
         "points": len(records), "with_index": n_idx,
-        "notes": dict(sorted(notes.items())),
         "borders": [[b.real, b.imag] for b in borders],
     })
     return 0
@@ -291,7 +276,10 @@ def _cmd_edge(args, outdir):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: building takes about 0.6 ms, a third of an
+    # `index` on a pair, and parse_args leaves the parser unchanged
     p = argparse.ArgumentParser(
         prog="specflow",
         description="Fredholm indices of nonlocal operators via spectral flow")
@@ -320,7 +308,6 @@ def _build_parser():
 
     sp = sub.add_parser("specmap", help="index map over spectral parameters")
     common(sp)
-    scan(sp)
     sp.add_argument("--re", required=True, metavar="LO:HI:N")
     sp.add_argument("--im", required=True, metavar="LO:HI:N")
 

@@ -56,8 +56,9 @@ class EdgeModel:
     `kernel` and `dirac` describe the unperturbed part in the convention
     U' + K*U + dirac U - lambda B U = 0 (K may be None).  The
     perturbation acts as eps * V(xi) * (P U) for a matrix P, or
-    eps * V(xi) * (pert_kernel * U) for a kernel.  B, dirac and P must be
-    real (ConfigurationError otherwise).
+    eps * V(xi) * (pert_kernel * U) for a kernel.  B, dirac, P and the
+    values of both kernels on the default window's nodes must be real
+    (ConfigurationError otherwise).
     """
 
     n: int
@@ -76,6 +77,10 @@ class EdgeModel:
             self.dirac = np.atleast_2d(_real(self.dirac, "dirac"))
         if self.P is not None:
             self.P = np.atleast_2d(_real(self.P, "P"))
+        for name, k in (("kernel", self.kernel),
+                        ("perturbation kernel", self.pert_kernel)):
+            if k is not None:
+                _real(k.value(_GRID.nodes), name)
         # the kernel in the symbol's sign convention, wrapped once
         self._kernel_neg = None if self.kernel is None else self.kernel.scaled(-1.0)
 
@@ -344,7 +349,10 @@ class _EdgeSystem(WeightedWindow):
         self.Vx = np.asarray(model.V(self.x), dtype=float).reshape(self.m)
 
         # window convolution matrices of the base and perturbation kernels
-        # acting on w; a complex one (complex kernel data) is refused
+        # acting on w.  EdgeModel refused kernels complex on the default
+        # window's nodes, before any solve; the matrix samples the kernel
+        # out to twice this grid's half-width, which that check did not
+        # see, so a complex matrix is refused here as well
         self.Cw = self.pert_Cw = None
         if model.kernel is not None:
             self.Cw = _real(conv_matrix(model._kernel_neg, self.m, self.n, self.h),

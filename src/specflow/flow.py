@@ -8,9 +8,9 @@ negative.  Crossings are found as zeros of the nonnegative hyperbolicity
 margin, refined by golden-section.  The axis roots at a crossing are the
 margin's own refined dips; on either side of it, two winding counts per
 axis frequency (left and right half-boxes) give the side counts, and the
-boxes shrink until two consecutive halvings agree.  When both limits are
-rational, the crossings are audited against the exact axis windings of
-`specflow.rational`.
+boxes shrink until two consecutive halvings agree.  The crossings are
+audited against the certified axis windings W of `is_hyperbolic`: their
+net contribution must equal W(s_minus) - W(s_plus).
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from .charmatrix import (_axis_dips, _dips, axis_margin, char_eval,
 from .errors import (ConfigurationError, ContourThroughRoot,
                      CrossingsUnresolved, EndpointNotHyperbolic,
                      InconclusiveCount)
-from .rational import axis_winding
 from .roots import Rectangle, _rho_derivative, count_roots
 from .symbols import OperatorFamily, weight_shift
 
 __all__ = [
     "Crossing", "FlowResult", "find_crossings", "crossing_number",
-    "fredholm_index", "weighted_index", "cocycle_check",
+    "fredholm_index", "winding_index", "weighted_index", "cocycle_check",
 ]
 
 _MIN_TRIGGER = 1e-4     # local margin minima below this are always refined
@@ -206,22 +205,42 @@ def _crossing_speed(family, rho_j, nu_axis):
     return float(np.real(-_rho_derivative(family, rho_j, nu_axis) / ce.d1))
 
 
+def _check_scan(scan_points):
+    if scan_points < 2:
+        raise ConfigurationError(
+            f"a crossing scan needs at least 2 points, got {scan_points}")
+
+
+def _check_dimensions(s_minus, s_plus):
+    if s_minus.n != s_plus.n:
+        raise ConfigurationError(
+            f"limit symbols must share dimension, got {s_minus.n} and {s_plus.n}")
+
+
+def _limit_windings(s_minus, s_plus):
+    """Certified windings (W_minus, W_plus) of two limits; a limit that
+    `is_hyperbolic` does not certify raises EndpointNotHyperbolic."""
+    windings = []
+    for name, sym in (("minus", s_minus), ("plus", s_plus)):
+        res = is_hyperbolic(sym)
+        if not res.hyperbolic:
+            raise EndpointNotHyperbolic(f"limit symbol at {name} infinity")
+        windings.append(res.winding)
+    return windings
+
+
 def find_crossings(family, scan_points=400):
     """All crossings of the family, ordered by parameter value.
 
     The hyperbolicity margin is sampled on a uniform grid; local minima
     below the trigger threshold are refined by golden-section and kept
-    when the refined margin certifies a loss of hyperbolicity.  Requires
-    hyperbolic limits and at least 2 scan points; crossings at the scan
-    boundary are rejected.
+    when the refined margin certifies a loss of hyperbolicity.  The
+    crossings are then audited against the limits' certified windings
+    (see `_audit`).  Requires hyperbolic limits and at least 2 scan
+    points; crossings at the scan boundary are rejected.
     """
-    if scan_points < 2:
-        raise ConfigurationError(
-            f"a crossing scan needs at least 2 points, got {scan_points}")
-    for name, sym in (("minus", family.s_minus), ("plus", family.s_plus)):
-        res = is_hyperbolic(sym)
-        if not res.hyperbolic:
-            raise EndpointNotHyperbolic(f"limit symbol at {name} infinity")
+    _check_scan(scan_points)
+    w_minus, w_plus = _limit_windings(family.s_minus, family.s_plus)
 
     rhos = np.linspace(family.rho_min, family.rho_max, scan_points)
     vals = _margins(family, rhos)
@@ -236,7 +255,8 @@ def find_crossings(family, scan_points=400):
         if rho_j < family.rho_min + edge or rho_j > family.rho_max - edge:
             raise EndpointNotHyperbolic(
                 f"crossing at rho = {rho_j:.4g} sits at the scan boundary")
-    return _classified(family, zeros, grid_step)
+    return _audit(family, _classified(family, zeros, grid_step),
+                  rhos, w_minus, w_plus)
 
 
 def _classified(family, zeros, step):
@@ -257,32 +277,28 @@ def _resample_bracket(family, lo, hi):
     return _classified(family, [z for z in zeros if lo <= z < hi], step)
 
 
-def _audit(family, crossings, scan_points):
-    """Crossings whose net contribution matches the exact axis windings.
+def _audit(family, crossings, rhos, w_minus, w_plus):
+    """Crossings whose net contribution matches the certified axis windings.
 
-    For rational limits the index must equal W(s_plus) - W(s_minus)
-    (`rational.axis_winding`).  On a mismatch, exact windings at scan
-    points bisect for a bracket whose winding change differs from its
-    crossings' contributions; that bracket is resampled and its crossings
-    replaced.  A bracket the resample cannot reconcile raises
-    CrossingsUnresolved, so a wrong integer is never returned.
+    The index must equal W(s_plus) - W(s_minus), the limits' windings.
+    On a mismatch, certified windings at the scan points `rhos` bisect for
+    a bracket whose winding change differs from its crossings'
+    contributions; that bracket is resampled and its crossings replaced.
+    A bracket the resample cannot reconcile, or a scan point without a
+    certified winding, raises CrossingsUnresolved, so a wrong integer is
+    never returned.
     """
-    w_minus = axis_winding(family.s_minus)
-    w_plus = axis_winding(family.s_plus)
-    if w_minus is None or w_plus is None:
-        return crossings
-    rhos = np.linspace(family.rho_min, family.rho_max, scan_points)
     last = len(rhos) - 1
     windings = {0: w_minus, last: w_plus}
 
     def defect(k):
-        # exact winding change over [rho_min, rhos[k]] plus the net
-        # contribution of the crossings found there; zero when they agree
+        # winding change over [rho_min, rhos[k]] plus the net contribution
+        # of the crossings found there; zero when they agree
         if k not in windings:
-            windings[k] = axis_winding(family.at(rhos[k]))
+            windings[k] = is_hyperbolic(family.at(rhos[k])).winding
             if windings[k] is None:
                 raise CrossingsUnresolved(
-                    f"no exact winding at scan point rho = {rhos[k]:.6g}")
+                    f"no certified winding at scan point rho = {rhos[k]:.6g}")
         return windings[k] - w_minus + sum(c.contribution for c in crossings
                                            if c.rho < rhos[k])
 
@@ -301,17 +317,13 @@ def _audit(family, crossings, scan_points):
         if defect(hi) != 0:
             raise CrossingsUnresolved(
                 f"crossings in [{rhos[lo]:.6g}, {rhos[hi]:.6g}] do not add up "
-                f"to the exact winding change {windings[hi] - windings[lo]}")
+                f"to the winding change {windings[hi] - windings[lo]}")
     return crossings
 
 
 def crossing_number(family, scan_points=400):
-    """Net left-to-right axis crossings and the resulting index.
-
-    For rational limits the crossings are audited against the exact axis
-    windings first (see `_audit`).
-    """
-    crossings = _audit(family, find_crossings(family, scan_points), scan_points)
+    """Net left-to-right axis crossings and the resulting index."""
+    crossings = find_crossings(family, scan_points)
     cross = sum(c.contribution for c in crossings)
     return FlowResult(
         crossings=crossings,
@@ -332,11 +344,21 @@ def fredholm_index(s_minus, s_plus, scan_points=400):
     homotopy between them is always an admissible path.  Both limits are
     certified hyperbolic once, by `find_crossings`.
     """
-    if s_minus.n != s_plus.n:
-        raise ConfigurationError(
-            f"limit symbols must share dimension, got {s_minus.n} and {s_plus.n}")
+    _check_dimensions(s_minus, s_plus)
     fam = OperatorFamily.affine_homotopy(s_minus, s_plus)
     return crossing_number(fam, scan_points).index
+
+
+def winding_index(s_minus, s_plus):
+    """Index of the operator with the given limits, W(s_plus) - W(s_minus).
+
+    The same number as `fredholm_index` from the limits' certified axis
+    windings alone, with the same refusals for limits that are not
+    hyperbolic or differ in dimension.
+    """
+    _check_dimensions(s_minus, s_plus)
+    w_minus, w_plus = _limit_windings(s_minus, s_plus)
+    return w_plus - w_minus
 
 
 def weighted_index(symbol, gamma_minus, gamma_plus, scan_points=400):

@@ -1,4 +1,5 @@
-"""Exact axis winding of rational symbols.
+"""Exact axis winding of rational symbols: the test oracle for the
+certified winding of `specflow.charmatrix.is_hyperbolic`.
 
 When the kernel is a sum of one-sided exponential-polynomial terms and
 every shift sits at xi = 0, the characteristic function is rational:
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .kernels import ExpPolyKernel, SumKernel
+from specflow.kernels import ExpPolyKernel, SumKernel
 
 __all__ = ["axis_winding", "root_balance"]
 

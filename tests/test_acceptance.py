@@ -394,8 +394,7 @@ def test_criterion_12_determinism():
         for rep in (1, 2):
             out = Path(td) / f"run{rep}"
             rc = cli_run(["specmap", "--config", str(configs / "neuralfield.json"),
-                          "--out", str(out), "--re=1.2:1.8:2", "--im=0.0:0.4:2",
-                          "--scan", "200"])
+                          "--out", str(out), "--re=1.2:1.8:2", "--im=0.0:0.4:2"])
             assert rc == 0
             maps.append((out / "specmap.csv").read_text())
     ok = first == second and maps[0] == maps[1]

@@ -121,8 +121,8 @@ def test_axis_margin_matches_loop_reference(rng):
 def test_hyperbolicity_refuses_nan_samples(monkeypatch):
     # a NaN margin never clears an interval: it must be refused before
     # the refinement, never certified
-    monkeypatch.setattr(charmatrix, "_sigma_min_axis",
-                        lambda sym, ells: np.full(np.shape(ells), np.nan))
+    monkeypatch.setattr(charmatrix, "_axis_values",
+                        lambda sym, ells: (np.full(np.shape(ells), np.nan),) * 2)
     monkeypatch.setattr(charmatrix, "_MAX_ROUNDS", 3)
     sym = Symbol(1, None, (ShiftTerm(0.0, [[1.0]]),), 2.0)
     with pytest.raises(ConfigurationError):
@@ -131,8 +131,8 @@ def test_hyperbolicity_refuses_nan_samples(monkeypatch):
 
 def test_hyperbolicity_inconclusive_when_rounds_run_out(monkeypatch):
     # a small margin that never clears within the rounds is no certificate
-    monkeypatch.setattr(charmatrix, "_sigma_min_axis",
-                        lambda sym, ells: np.full(np.shape(ells), 1e-6))
+    monkeypatch.setattr(charmatrix, "_axis_values",
+                        lambda sym, ells: (np.full(np.shape(ells), 1e-6),) * 2)
     monkeypatch.setattr(charmatrix, "_MAX_ROUNDS", 3)
     res = is_hyperbolic(Symbol(1, None, (ShiftTerm(0.0, [[1.0]]),), 2.0))
     assert not res.hyperbolic and res.inconclusive

@@ -98,8 +98,7 @@ def test_edge_command(tmp_path):
 
 def test_specmap_small_grid(tmp_path):
     rc = run(["specmap", "--config", str(CONFIGS / "neuralfield.json"),
-              "--out", str(tmp_path), "--re=1.0:2.0:3", "--im=-0.5:0.5:3",
-              "--scan", "200"])
+              "--out", str(tmp_path), "--re=1.0:2.0:3", "--im=-0.5:0.5:3"])
     assert rc == 0
     with open(tmp_path / "specmap.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -142,7 +141,7 @@ def test_specmap_evaluates_each_node_once():
 
     # the minus limit has an axis root at lambda = -0.7 exactly
     records, borders = specmap(pencil("minus", -0.3), pencil("plus", 0.5),
-                               [-0.9, -0.7], [0.0], 200)
+                               [-0.9, -0.7], [0.0])
     assert [r["hyp_minus"] for r in records] == [True, False]
     assert len(borders) == 1 and abs(borders[0] + 0.7) < 1e-6
     nodes = [r["lambda"] for r in records]
@@ -257,9 +256,12 @@ def test_edge_potential_zero_width_exit_code(tmp_path):
     ("eps", "[0.04, 0.0]"),
     ("eps", "[0.04, NaN]"),
     ("B", "[[0.0, 0.0], [[1.0, 0.3], 0.0]]"),
+    # refused before the diffusive check, which it would fail (exit 3)
+    ("kernel", '{"family": "gaussian", "sigma": 0.5, '
+               '"M": [[0.0, 0.0], [[1.0, 0.3], 0.0]]}'),
 ], ids=["weight_eta_nan", "weight_eta_overflow", "weight_eta_zero",
         "weight_eta_negative", "eta_nan", "eps_empty", "eps_zero", "eps_nan",
-        "B_complex"])
+        "B_complex", "kernel_complex"])
 def test_invalid_edge_schema_exit_code(tmp_path, key, raw):
     cfg = json.loads((CONFIGS / "schrodinger_well.json").read_text())
     cfg[key] = "@"
@@ -393,7 +395,8 @@ def test_shock_command_with_b(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["roots", "--box", "0", "1", "0", "1"],
-                                     ["shock"], ["edge"]])
+                                     ["shock"], ["edge"],
+                                     ["specmap", "--re=0:1:2", "--im=0:0:1"]])
 @pytest.mark.parametrize("option", [["--jobs", "2"], ["--scan", "50"]])
 def test_unread_options_rejected(tmp_path, command, option):
     with pytest.raises(SystemExit) as exc:
@@ -513,46 +516,16 @@ def _gaussian_map_config(tmp_path):
     return str(path)
 
 
-def test_specmap_flow_fallback_for_gaussian_kernels(tmp_path):
-    # Gaussian kernels are not rational, so every node's index comes from
-    # the spectral flow instead of the exact axis winding
+def test_specmap_winding_for_gaussian_kernels(tmp_path):
+    # Gaussian kernels are not rational; every node's index is the
+    # difference of the certified windings of its limits
     rc = run(["specmap", "--config", _gaussian_map_config(tmp_path),
-              "--out", str(tmp_path), "--re=-1:1:5", "--im=0:0:1",
-              "--scan", "100"])
+              "--out", str(tmp_path), "--re=-1:1:5", "--im=0:0:1"])
     assert rc == 0
     with open(tmp_path / "specmap.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [(float(r["re_lambda"]), r["index"], r["note"]) for r in rows] == [
-        (-1.0, "0", ""), (-0.5, "1", ""), (0.0, "0", ""), (0.5, "0", ""),
-        (1.0, "0", "")]
-    assert read_json(tmp_path)["notes"] == {}
-
-
-def test_specmap_scan_below_two_exit_code(tmp_path):
-    # the flow fallback would refuse the scan at every node
-    rc = run(["specmap", "--config", _gaussian_map_config(tmp_path),
-              "--out", str(tmp_path), "--re=-1:1:3", "--im=0:0:1",
-              "--scan", "1"])
-    assert rc == 2
-    assert read_json(tmp_path, "error.json")["kind"] == "configuration"
-    assert not (tmp_path / "specmap.csv").exists()
-
-
-def test_specmap_records_node_failures(tmp_path, monkeypatch):
-    import specflow.cli as cli
-    from specflow.errors import InconclusiveCount
-
-    def inconclusive(*args, **kwargs):
-        raise InconclusiveCount("winding did not settle")
-
-    monkeypatch.setattr(cli, "fredholm_index", inconclusive)
-    rc = run(["specmap", "--config", _gaussian_map_config(tmp_path),
-              "--out", str(tmp_path), "--re=-1:1:3", "--im=0:0:1"])
-    assert rc == 0
-    with open(tmp_path / "specmap.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["index"], r["note"]) for r in rows] == [
-        ("", "InconclusiveCount")] * 3
-    result = read_json(tmp_path)
-    assert result["with_index"] == 0
-    assert result["notes"] == {"InconclusiveCount": 3}
+    assert [(float(r["re_lambda"]), r["index"]) for r in rows] == [
+        (-1.0, "0"), (-0.5, "1"), (0.0, "0"), (0.5, "0"), (1.0, "0")]
+    assert list(rows[0]) == ["re_lambda", "im_lambda", "hyp_minus",
+                             "hyp_plus", "index"]
+    assert "notes" not in read_json(tmp_path)

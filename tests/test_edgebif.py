@@ -224,11 +224,14 @@ def test_convolution_perturbation_kernel_path():
     assert r.lam / 0.02 ** 2 == pytest.approx(np.pi / 4, rel=0.05)
 
 
-@pytest.mark.parametrize("field", ["B", "dirac", "P"])
+@pytest.mark.parametrize("field", ["B", "dirac", "P", "kernel"])
 def test_complex_model_data_is_refused(field):
     data = {"B": [[0.0, 0.0], [1.0, 0.0]], "dirac": [[0.0, -1.0], [0.0, 0.0]],
             "P": [[0.0, 0.0], [1.0, 0.0]]}
-    data[field] = np.array(data[field]) + 0.3j
+    if field == "kernel":
+        data[field] = gaussian_kernel(0.5, [[0.0, 0.0], [1.0, 0.2j]])
+    else:
+        data[field] = np.array(data[field]) + 0.3j
     with pytest.raises(ConfigurationError, match=field):
         EdgeModel(n=2, V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
                   **data)
@@ -236,11 +239,10 @@ def test_complex_model_data_is_refused(field):
 
 def test_complex_perturbation_kernel_is_refused():
     pk = gaussian_kernel(0.5, [[0.0, 0.0], [1.0, 0.2j]])
-    model = EdgeModel(n=2, B=[[0, 0], [1, 0]], dirac=[[0, -1], [0, 0]],
-                      V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-                      pert_kernel=pk, eta=0.5, weight_eta=0.5)
     with pytest.raises(ConfigurationError, match="perturbation kernel"):
-        edge_eigenvalue(model, 0.02, grid=Grid(20.0, 0.2))
+        EdgeModel(n=2, B=[[0, 0], [1, 0]], dirac=[[0, -1], [0, 0]],
+                  V=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
+                  pert_kernel=pk, eta=0.5, weight_eta=0.5)
 
 
 def test_trivial_branch_at_zero_perturbation():

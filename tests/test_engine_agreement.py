@@ -1,79 +1,31 @@
-"""Pinned pairs on which the flow and an independent engine disagree.
+"""Agreement of the index engines: spectral flow, certified winding, and
+the reference windings.
 
-Each pair of 2x2 limit symbols (Gaussian, exponential or no kernel, a
-shift at 0 and one at xi) came from the seeded random scan of ROADMAP
-item 12; the ids name its (seed, pair) entries.  The reference
-index is the difference of the sampled axis windings of the limits
+The pinned pairs of 2x2 limit symbols live in `pinned_pairs`.  Their
+reference index is the difference of the sampled axis windings of the limits
 (`conftest.sampled_axis_winding`), which 200,001 and 2,000,001 points
-agree on.  The 400-point margin scan misses a crossing on each, so
-`fredholm_index` prints a wrong integer; these tests are strict xfails
-until the crossing search is certified, and then they must pass.
+agree on.  The 400-point margin scan misses a crossing on each; the
+audit against the certified windings of `is_hyperbolic` finds it.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specflow.flow import fredholm_index
+from specflow.charmatrix import is_hyperbolic
+from specflow.configio import symbol_from_json
+from specflow.flow import fredholm_index, winding_index
 from specflow.kernels import exponential_kernel, gaussian_kernel
 from specflow.symbols import ShiftTerm, Symbol
 
 from conftest import sampled_axis_winding
+from pinned_pairs import PAIRS
+from rational import axis_winding
 
-
-def _symbol(eta, xi, A0, A1, kernel=None):
-    return Symbol(2, kernel, (ShiftTerm(0.0, np.array(A0)),
-                              ShiftTerm(xi, np.array(A1))), eta)
-
-
-# (id, builder of (s_minus, s_plus), true index); the flow prints 3, 3, -1
-PAIRS = [
-    ("seed1_pair11", lambda: (
-        _symbol(1.5, -0.966345430639574,
-                [[-0.4715785761611744, 1.19766211757745],
-                 [-0.5708476891440252, 0.8377068524622528]],
-                [[0.1268197783868451, 0.36724284903254834],
-                 [0.15638130653217386, -0.16476377153058192]],
-                gaussian_kernel(0.4998256601499049,
-                                [[0.3971487345225795, -0.0915377758872079],
-                                 [-0.4651503318115433, 0.6480041133090073]])),
-        _symbol(1.5, 0.5215775691669651,
-                [[-1.1364370826304664, -0.12764891583731552],
-                 [-0.3075490323117456, -0.05502238647036117]],
-                [[-0.4468551762047165, -0.3329917608644731],
-                 [0.07446190811965125, -0.13467706121285528]])), 2),
-    ("seed2_pair7", lambda: (
-        _symbol(1.5, 0.09357396036061538,
-                [[0.7018826497306674, -0.22558817017666943],
-                 [1.138756409564185, 0.2523819970224861]],
-                [[0.5612375792241818, -0.5472147695323235],
-                 [0.4592311834112405, 0.07125262505385188]],
-                exponential_kernel(2.544904901479549,
-                                   [[-0.1829758129861767, -0.08543443921513261],
-                                    [0.4873361049579994, 0.5184495638636457]])),
-        _symbol(1.5, -0.9936264587637658,
-                [[0.976416047675049, 0.41017035608598573],
-                 [-0.7079478440003826, -0.5812351738494149]],
-                [[-0.04128682617390189, 0.3819447039233682],
-                 [-0.4588492765458244, 0.5613417961964758]],
-                exponential_kernel(2.6563668371505567,
-                                   [[-0.49184803939356797, 0.07790620158558903],
-                                    [-0.33715532140492926, -0.631231237013269]]))),
-     2),
-    ("seed4_pair13", lambda: (
-        _symbol(1.5, 0.02107756643203551,
-                [[1.0638924641431478, 0.6514996265231512],
-                 [1.18467913074504, 0.5102821472237535]],
-                [[-0.22475169224841735, 0.03613968677193269],
-                 [0.5284982934631787, 0.5094672554205099]],
-                gaussian_kernel(0.5048349390229769,
-                                [[-0.042809504438903745, 0.4727171709224569],
-                                 [-0.20582445235628666, 0.6166317937781107]])),
-        _symbol(1.5, -0.4987796379886882,
-                [[-0.5856167658918316, -0.5935916986017551],
-                 [0.30119597693991773, -0.7333115754851097]],
-                [[0.24631831694355066, -0.21631733258195585],
-                 [0.4053859930353386, -0.30442865326102564]])), 1),
-]
+CONFIGS = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
 IDS = [p[0] for p in PAIRS]
 
 
@@ -85,10 +37,128 @@ def test_pinned_pair_reference_index(name, build, index):
         s_minus, 200001) == index
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the 400-point margin scan misses a crossing (ROADMAP item 12), so "
-    "the flow prints a wrong integer"))
 @pytest.mark.parametrize("name, build, index", PAIRS, ids=IDS)
 def test_flow_matches_reference_index(name, build, index):
     s_minus, s_plus = build()
     assert fredholm_index(s_minus, s_plus) == index
+
+
+def _exp_limit(n, a, M, A):
+    return symbol_from_json({"n": n, "eta": 1.5, "kernel": {
+        "family": "exponential", "a": a, "M": M},
+        "shifts": [{"xi": 0.0, "A": A}]})
+
+
+# the three limit triples of the benchmark's index_flow seed 1 (full size);
+# its pair tasks pair limits 0-1, 1-2 and 0-2 of each triple
+SEED1_TRIPLES = [
+    [(1, 2.6700967619904366, [[1.351391088977806]], [[-1.423361549121465]]),
+     (1, 3.4127040601333145, [[-0.5645056439685436]], [[-0.3066942041096974]]),
+     (1, 3.2070944094947507, [[-0.2724025908925163]], [[0.19837475069223798]])],
+    [(2, 1.8330709358916821,
+      [[0.40562097387969054, 0.06102930115084515],
+       [-0.27242925360145254, 0.46148592548544687]],
+      [[-0.47233240970005197, -0.11160506524643643],
+       [-0.8782999266068046, -0.23252883252688983]]),
+     (2, 2.0441462888113797,
+      [[-0.3802986552930408, 0.4005834762080842],
+       [-0.3513459872223361, -0.023694440909383885]],
+      [[1.1537692795229726, 1.1079772647930881],
+       [0.5394958578564808, 0.09894445331384216]]),
+     (2, 2.132269444854445,
+      [[-0.542956785959797, 0.7518806611458122],
+       [0.025709736876605938, -0.6146150200467675]],
+      [[0.29637541329000094, 0.664039474421515],
+       [0.2712079225272972, 1.0015144914981662]])],
+    [(1, 1.867307890329145, [[0.08576778978006505]], [[-0.1626564684583851]]),
+     (1, 1.9059942845547886, [[0.42398450741812477]], [[1.410531353922627]]),
+     (1, 2.807999730777283, [[-0.7197076567883304]], [[1.3595260841256351]])],
+]
+
+
+def _mult2_pair():
+    cfg = json.loads((CONFIGS / "mult2_pair.json").read_text())
+    return symbol_from_json(cfg["s_minus"]), symbol_from_json(cfg["s_plus"])
+
+
+AGREEMENT_PAIRS = [(name, build) for name, build, _ in PAIRS] + [
+    ("mult2_pair", _mult2_pair)] + [
+    (f"index_flow_seed1_pair{k}_{i}{j}",
+     lambda t=triple, i=i, j=j: (_exp_limit(*t[i]), _exp_limit(*t[j])))
+    for k, triple in enumerate(SEED1_TRIPLES)
+    for i, j in ((0, 1), (1, 2), (0, 2))]
+
+
+@pytest.mark.parametrize("name, build", AGREEMENT_PAIRS,
+                         ids=[p[0] for p in AGREEMENT_PAIRS])
+def test_flow_matches_winding_index(name, build):
+    # the flow is the independent engine of the pair index W(s+) - W(s-)
+    s_minus, s_plus = build()
+    assert fredholm_index(s_minus, s_plus) == winding_index(s_minus, s_plus)
+
+
+# -- certified windings against the exact and the sampled references -----
+
+_DYADIC = st.integers(-256, 256).map(lambda k: k / 256.0)
+
+
+def _matrices(draw, n, scale, count=1):
+    return [scale * np.array(draw(st.lists(_DYADIC, min_size=n * n,
+                                           max_size=n * n))).reshape(n, n)
+            for _ in range(count)]
+
+
+@st.composite
+def _rational_symbols(draw):
+    """(symbol, True): an exponential or no kernel, one shift at 0.
+
+    Dyadic data keep every product exact, so the axis-root variant,
+    Delta(0) = u v^T with u[-1] = 0, is singular exactly as the exact
+    engine sees it.
+    """
+    n = draw(st.integers(1, 3))
+    kernel, M, eta = None, np.zeros((n, n)), 1.5
+    if draw(st.booleans()):
+        a = draw(st.integers(7, 14)) / 4.0
+        M, = _matrices(draw, n, 0.75)
+        kernel, eta = exponential_kernel(a, M), min(1.5, 0.9 * a)
+    A, = _matrices(draw, n, 1.5)
+    if draw(st.booleans()):
+        u, v = (np.array(draw(st.lists(_DYADIC, min_size=n, max_size=n)))
+                for _ in range(2))
+        u[-1] = 0.0
+        A = -M - np.outer(u, v)
+    return Symbol(n, kernel, (ShiftTerm(0.0, A),), eta), True
+
+
+@st.composite
+def _nonrational_symbols(draw):
+    """(symbol, False): a Gaussian, exponential or no kernel, a shift at 0
+    and one at xi != 0."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["gaussian", "exponential", None]))
+    A0, A1, M = _matrices(draw, n, 1.2, 3)
+    xi = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 1.0))
+    kernel, eta = None, 1.5
+    if kind == "gaussian":
+        kernel = gaussian_kernel(draw(st.floats(0.4, 1.0)), 0.6 * M)
+    elif kind == "exponential":
+        a = draw(st.floats(1.8, 3.5))
+        kernel, eta = exponential_kernel(a, 0.6 * M), min(1.5, 0.9 * a)
+    return Symbol(n, kernel, (ShiftTerm(0.0, A0), ShiftTerm(xi, 0.5 * A1)),
+                  eta), False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_rational_symbols() | _nonrational_symbols())
+def test_certified_winding_matches_references(case):
+    # the certified W is the exact or the sampled winding, or a refusal;
+    # an exact axis root is never certified
+    sym, rational = case
+    res = is_hyperbolic(sym)
+    exact = axis_winding(sym) if rational else None
+    if rational and exact is None:
+        assert not res.hyperbolic
+    if res.hyperbolic:
+        want = exact if rational else sampled_axis_winding(sym, 200001)
+        assert res.winding == want

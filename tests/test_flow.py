@@ -11,7 +11,7 @@ from specflow.errors import ContourThroughRoot, EndpointNotHyperbolic
 from specflow.flow import (cocycle_check, crossing_number, find_crossings,
                            fredholm_index, weighted_index)
 from specflow.kernels import exponential_kernel
-from specflow.rational import axis_winding as exact_winding
+from rational import axis_winding as exact_winding
 from specflow.roots import Rectangle, locate_roots, track_root
 from specflow.symbols import (OperatorFamily, ShiftTerm, Symbol,
                               weight_shift)
@@ -176,7 +176,7 @@ def test_two_zeros_in_one_scan_bracket():
     # a conjugate pair crosses at rho ~ 0.6564 (ell = +-0.1225) and a real
     # root at rho ~ 0.6966 (ell = 0), close enough that the scan's
     # golden-section search stops at the first; the audit against the
-    # exact windings finds the second
+    # certified windings finds the second
     sm, sp = exp_pair(*SEED10_PAIR)
     w_minus, w_plus = axis_winding(sm), axis_winding(sp)
     if (w_minus, w_plus) != (-2, -1):
@@ -225,13 +225,15 @@ def test_missed_crossing_pairs(minus, plus):
 
 def test_unreconciled_audit_exits_numerical(tmp_path, monkeypatch):
     # a bracket resample that finds nothing leaves the audit mismatch in
-    # place: the index command refuses instead of printing a wrong integer
+    # place: the index command refuses instead of printing a wrong integer.
+    # The flow runs on a family config; a pair config needs no flow.
     monkeypatch.setattr(flow, "_resample_bracket", lambda *args: [])
     limits = [{"n": 2, "eta": 1.5,
                "kernel": {"family": "exponential", "a": a, "M": M},
                "shifts": [{"xi": 0.0, "A": A}]} for a, M, A in SEED10_PAIR]
-    cfg = tmp_path / "pair.json"
-    cfg.write_text(json.dumps({"s_minus": limits[0], "s_plus": limits[1]}))
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"path": {"type": "affine", "s0": limits[0],
+                                        "s1": limits[1]}}))
     rc = run(["index", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 3
     err = json.loads((tmp_path / "error.json").read_text())

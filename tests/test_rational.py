@@ -9,7 +9,7 @@ from specflow.configio import pencil_from_json
 from specflow.flow import fredholm_index
 from specflow.kernels import (ExpPolyKernel, SumKernel, exponential_kernel,
                               gaussian_kernel, sample_kernel)
-from specflow.rational import axis_winding, root_balance
+from rational import axis_winding, root_balance
 from specflow.symbols import (ShiftTerm, Symbol, combine_symbols,
                               weight_shift)
 
@@ -69,9 +69,11 @@ def test_winding_matches_sampled_phase(rng, make):
     checked = 0
     for _ in range(6):
         for sym in _variants(make(rng, want_hyperbolic=False), rng):
-            if not is_hyperbolic(sym).hyperbolic:
+            res = is_hyperbolic(sym)
+            if not res.hyperbolic:
                 continue
             assert axis_winding(sym) == sampled_axis_winding(sym)
+            assert res.winding == axis_winding(sym)
             checked += 1
     assert checked >= 30
 
@@ -92,7 +94,10 @@ def test_axis_root_returns_none():
     # Delta(0) = -K_hat(0) - A = -1 + 1 = 0: a root at nu = 0
     sym = Symbol(1, exponential_kernel(2.0, [[1.0]]), (ShiftTerm(0.0, [[-1.0]]),), 1.9)
     assert axis_winding(sym) is None
-    assert axis_winding(weight_shift(sym, 0.1)) is not None
+    assert not is_hyperbolic(sym).hyperbolic
+    shifted = weight_shift(sym, 0.1)
+    assert axis_winding(shifted) is not None
+    assert is_hyperbolic(shifted).winding == axis_winding(shifted)
 
 
 @pytest.mark.parametrize("re, im", [("1.0:2.0:3", "-0.5:0.5:3"),
