@@ -19,8 +19,7 @@ from .conslaw import (ShockModel, ShockSolution, characteristic_speeds,
 from .edgebif import (EdgeModel, diffusive_check, edge_constant,
                       edge_eigenvalue, edge_scaling, edge_vectors)
 from .flow import (Crossing, FlowResult, cocycle_check, crossing_number,
-                   find_crossings, fredholm_index, weighted_index,
-                   winding_index)
+                   find_crossings, fredholm_index, weighted_index)
 from .griddisc import (Grid, GridOperator, assemble, assemble_adjoint,
                        index_estimate, nullity, solve_inhomogeneous)
 from .kernels import (ExpPolyKernel, GaussianKernel, KernelSpec,

@@ -32,7 +32,7 @@ from .conslaw import (characteristic_speeds, jump_leading_order,
                       shock_profile, zero_speed_selection, zero_speeds)
 from .edgebif import edge_scaling
 from .errors import ConfigurationError, NumericalError
-from .flow import _check_scan, crossing_number, winding_index
+from .flow import crossing_number, fredholm_index
 from .roots import Rectangle, locate_roots
 
 __all__ = ["main", "run", "specmap"]
@@ -159,15 +159,12 @@ def _cmd_flow(args, outdir):
 def _cmd_index(args, outdir):
     cfg = configio.load_config(args.config)
     if "s_minus" in cfg and "s_plus" in cfg:
-        sm = configio.symbol_from_json(cfg["s_minus"], "s_minus")
-        sp = configio.symbol_from_json(cfg["s_plus"], "s_plus")
-        # the windings need no scan; --scan is checked as the flow would
-        _check_scan(args.scan)
-        idx = winding_index(sm, sp)
+        limits = (configio.symbol_from_json(cfg["s_minus"], "s_minus"),
+                  configio.symbol_from_json(cfg["s_plus"], "s_plus"))
     else:
         fam = configio.family_from_json(cfg)
-        idx = crossing_number(fam, scan_points=args.scan).index
-    _write_json(outdir, "result.json", {"index": idx})
+        limits = (fam.s_minus, fam.s_plus)
+    _write_json(outdir, "result.json", {"index": fredholm_index(*limits)})
     return 0
 
 
@@ -289,10 +286,6 @@ def _build_parser():
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=".")
 
-    def scan(sp):
-        sp.add_argument("--scan", type=int, default=400,
-                        help="parameter scan resolution")
-
     sp = sub.add_parser("roots", help="locate characteristic roots in a box")
     common(sp)
     sp.add_argument("--box", nargs=4, required=True,
@@ -300,11 +293,11 @@ def _build_parser():
 
     sp = sub.add_parser("flow", help="crossings and index of a family")
     common(sp)
-    scan(sp)
+    sp.add_argument("--scan", type=int, default=400,
+                    help="parameter scan resolution")
 
     sp = sub.add_parser("index", help="Fredholm index from limit symbols")
     common(sp)
-    scan(sp)
 
     sp = sub.add_parser("specmap", help="index map over spectral parameters")
     common(sp)

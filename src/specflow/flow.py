@@ -1,11 +1,13 @@
 """Crossing detection, crossing numbers and Fredholm indices.
 
-A crossing of a parameter family is a value rho_j where the symbol loses
-hyperbolicity.  The net number of characteristic roots moving from the
-left half-plane to the right across all crossings is the crossing
-number, and the Fredholm index of the associated operator equals its
-negative.  Crossings are found as zeros of the nonnegative hyperbolicity
-margin, refined by golden-section.  The axis roots at a crossing are the
+The Fredholm index of an operator with hyperbolic limits is the
+difference W(s_plus) - W(s_minus) of the limits' certified axis windings
+(`fredholm_index`).  The spectral flow of a family lists its crossings:
+values rho_j where the symbol loses hyperbolicity.  The net number of
+characteristic roots moving from the left half-plane to the right across
+all crossings is the crossing number, and the index equals its negative.
+Crossings are found as zeros of the nonnegative hyperbolicity margin,
+refined by golden-section.  The axis roots at a crossing are the
 margin's own refined dips; on either side of it, two winding counts per
 axis frequency (left and right half-boxes) give the side counts, and the
 boxes shrink until two consecutive halvings agree.  The crossings are
@@ -29,7 +31,7 @@ from .symbols import OperatorFamily, weight_shift
 
 __all__ = [
     "Crossing", "FlowResult", "find_crossings", "crossing_number",
-    "fredholm_index", "winding_index", "weighted_index", "cocycle_check",
+    "fredholm_index", "weighted_index", "cocycle_check",
 ]
 
 _MIN_TRIGGER = 1e-4     # local margin minima below this are always refined
@@ -205,12 +207,6 @@ def _crossing_speed(family, rho_j, nu_axis):
     return float(np.real(-_rho_derivative(family, rho_j, nu_axis) / ce.d1))
 
 
-def _check_scan(scan_points):
-    if scan_points < 2:
-        raise ConfigurationError(
-            f"a crossing scan needs at least 2 points, got {scan_points}")
-
-
 def _check_dimensions(s_minus, s_plus):
     if s_minus.n != s_plus.n:
         raise ConfigurationError(
@@ -239,7 +235,9 @@ def find_crossings(family, scan_points=400):
     (see `_audit`).  Requires hyperbolic limits and at least 2 scan
     points; crossings at the scan boundary are rejected.
     """
-    _check_scan(scan_points)
+    if scan_points < 2:
+        raise ConfigurationError(
+            f"a crossing scan needs at least 2 points, got {scan_points}")
     w_minus, w_plus = _limit_windings(family.s_minus, family.s_plus)
 
     rhos = np.linspace(family.rho_min, family.rho_max, scan_points)
@@ -337,46 +335,40 @@ def crossing_number(family, scan_points=400):
     )
 
 
-def fredholm_index(s_minus, s_plus, scan_points=400):
-    """Index of the operator with the given limits, via an affine homotopy.
-
-    The index depends only on the limit symbols, so a tanh-driven affine
-    homotopy between them is always an admissible path.  Both limits are
-    certified hyperbolic once, by `find_crossings`.
-    """
-    _check_dimensions(s_minus, s_plus)
-    fam = OperatorFamily.affine_homotopy(s_minus, s_plus)
-    return crossing_number(fam, scan_points).index
-
-
-def winding_index(s_minus, s_plus):
+def fredholm_index(s_minus, s_plus):
     """Index of the operator with the given limits, W(s_plus) - W(s_minus).
 
-    The same number as `fredholm_index` from the limits' certified axis
-    windings alone, with the same refusals for limits that are not
-    hyperbolic or differ in dimension.
+    The index depends only on the limit symbols: it is the difference of
+    their certified axis windings (`is_hyperbolic`), the number every
+    spectral flow between them is audited against.  Limits that are not
+    certified hyperbolic raise EndpointNotHyperbolic; limits of different
+    dimensions raise ConfigurationError.
     """
     _check_dimensions(s_minus, s_plus)
     w_minus, w_plus = _limit_windings(s_minus, s_plus)
     return w_plus - w_minus
 
 
-def weighted_index(symbol, gamma_minus, gamma_plus, scan_points=400):
+def weighted_index(symbol, gamma_minus, gamma_plus):
     """Index of the constant-coefficient operator between two-sided weights.
 
     Conjugating by the smooth weight exp of gamma(xi)*sqrt(xi^2+1)-type
     profiles turns the weighted problem into an asymptotically constant
-    one with limits given by the shifted symbols; the index follows from
-    the homotopy between them.
+    one with limits given by the shifted symbols; the index is theirs.
     """
-    sm = weight_shift(symbol, gamma_minus)
-    sp = weight_shift(symbol, gamma_plus)
-    return fredholm_index(sm, sp, scan_points=scan_points)
+    return fredholm_index(weight_shift(symbol, gamma_minus),
+                          weight_shift(symbol, gamma_plus))
 
 
 def cocycle_check(s0, s1, s2):
-    """Indices of the three pairings and whether they add up."""
-    i01 = fredholm_index(s0, s1)
-    i12 = fredholm_index(s1, s2)
-    i02 = fredholm_index(s0, s2)
+    """Spectral-flow indices of the three pairings and whether they add up.
+
+    Each leg runs the flow along the affine homotopy of its pair, so this
+    checks the additivity of the flow itself.
+    """
+    def leg(a, b):
+        _check_dimensions(a, b)
+        return crossing_number(OperatorFamily.affine_homotopy(a, b)).index
+
+    i01, i12, i02 = leg(s0, s1), leg(s1, s2), leg(s0, s2)
     return i01, i12, i02, (i01 + i12 == i02)

@@ -671,20 +671,20 @@ def _ls_step(J, res):
     return x / colnorm
 
 
-def newton_solve(residual, jacobian, z, tol, max_iter, rows=None, plateau=0.0):
+def newton_solve(residual, jacobian, z, tol, max_iter, plateau=0.0):
     """Damped Newton iteration with least-squares steps (`_ls_step`).
 
     `residual(z)` is the residual vector and `jacobian(z, res)` its
     Jacobian at z, given the residual res there, as a dense array or a
-    scipy.sparse matrix.  The iteration stops once the max norm over
-    `rows` (all rows when None) is at most `tol`.
+    scipy.sparse matrix.  The iteration stops once the max norm of the
+    residual is at most `tol`.
     Each step is halved up to 8 times until the norm decreases.  A
     positive `plateau` is an attainable-residual floor: an iteration
     that stalls below it, or gains less than a factor 2 there, counts as
     converged.  Returns (z, residual, iterations); raises NewtonDiverged.
     """
     def norm(r):
-        return np.abs(r if rows is None else r[rows]).max()
+        return np.abs(r).max()
 
     res = residual(z)
     for it in range(max_iter):

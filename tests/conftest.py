@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from specflow.charmatrix import det_values, is_hyperbolic
+from specflow.flow import crossing_number
 from specflow.kernels import exponential_kernel
-from specflow.symbols import ShiftTerm, Symbol
+from specflow.symbols import OperatorFamily, ShiftTerm, Symbol
 
 
 def random_scalar_symbol(rng, eta=1.5, want_hyperbolic=True, max_tries=60):
@@ -42,6 +43,16 @@ def sampled_axis_winding(sym, points=20001):
     nu = 1j * np.tan(t)
     phase = np.unwrap(np.angle(det_values(sym, nu) / (nu + 1.0) ** sym.n))
     return int(round((phase[-1] - phase[0]) / (2 * np.pi)))
+
+
+def flow_index(s_minus, s_plus, scan_points=400):
+    """Index of the pair by spectral flow along their affine homotopy.
+
+    The reference engine for `fredholm_index`, which reads the index off
+    the limits' certified windings.
+    """
+    fam = OperatorFamily.affine_homotopy(s_minus, s_plus)
+    return crossing_number(fam, scan_points).index
 
 
 @pytest.fixture

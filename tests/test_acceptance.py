@@ -195,21 +195,21 @@ def test_criterion_06_discretization_oracle():
     rows = []
     ok = True
     reliable_count = 0
-    for name, s, gm, gp, flow_idx in scenarios:
+    for name, s, gm, gp, w_idx in scenarios:
         idx, nf, na = index_estimate(s, grid, gm, gp)
         gap = min(nf.gap, na.gap)
         reliable = nf.reliable and na.reliable and gap >= 1e3
-        rows.append((name, gm, gp, idx, flow_idx, f"{gap:.1e}", reliable))
+        rows.append((name, gm, gp, idx, w_idx, f"{gap:.1e}", reliable))
         if reliable:
             reliable_count += 1
-            if idx != flow_idx:
+            if idx != w_idx:
                 ok = False
     # the clear-gap scenarios must agree and must include the larger
     # weights; under-resolved small weights are excluded by the gap rule
     clear_by_name = {(r[0], r[1]) for r in rows if r[6]}
     ok = ok and reliable_count >= 3 and ("mult2", -0.35) in clear_by_name \
         and ("simple", -0.1) in clear_by_name
-    report(6, ok, f"grid-vs-flow indices {rows}", t0)
+    report(6, ok, f"grid-vs-winding indices {rows}", t0)
 
 
 def _criterion7_models():

@@ -333,6 +333,22 @@ def test_numerical_failure_exit_code(tmp_path):
     assert (tmp_path / "error.json").exists()
 
 
+def test_index_reads_the_limits_of_a_family(tmp_path):
+    # the same family as above: its flow refuses the crossing at the scan
+    # boundary, while its index depends only on the limits
+    cfg = {"path": {"type": "rule", "n": 1, "eta": 2.0,
+                    "rho_min": -0.001, "rho_max": 10.0,
+                    "shift_matrix_exprs": [["tanh(rho)"]]}}
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["index", "--config", str(path),
+                "--out", str(tmp_path / "index")]) == 0
+    assert read_json(tmp_path / "index")["index"] == -1
+    assert run(["flow", "--config", str(path),
+                "--out", str(tmp_path / "flow")]) == 2
+    assert "scan boundary" in read_json(tmp_path / "flow", "error.json")["error"]
+
+
 def test_right_end_crossing_exit_code(tmp_path):
     # the crossing at rho = 0 sits in the last scan bracket
     cfg = {"path": {"type": "rule", "n": 1, "eta": 2.0,
@@ -396,7 +412,8 @@ def test_shock_command_with_b(tmp_path):
 
 @pytest.mark.parametrize("command", [["roots", "--box", "0", "1", "0", "1"],
                                      ["shock"], ["edge"],
-                                     ["specmap", "--re=0:1:2", "--im=0:0:1"]])
+                                     ["specmap", "--re=0:1:2", "--im=0:0:1"],
+                                     ["index"]])
 @pytest.mark.parametrize("option", [["--jobs", "2"], ["--scan", "50"]])
 def test_unread_options_rejected(tmp_path, command, option):
     with pytest.raises(SystemExit) as exc:
@@ -434,7 +451,6 @@ def _pair_config(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["flow", "--config", "tanh_scalar.json", "--scan", "1"],
-    ["index", "--config", "mult2_pair.json", "--scan", "0"],
     ["shock", "--config", "shock_scalar.json", "--eps", "abc"],
     ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "x"],
     ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "1,2,3"],
@@ -444,7 +460,7 @@ def _pair_config(tmp_path):
     ["roots", "--config", "symbol", "--box", "1", "0", "0", "1"],
     ["roots", "--config", "symbol", "--box", "a", "0", "0", "1"],
     ["index", "--config", "pair"],
-], ids=["flow_scan_1", "index_scan_0", "shock_eps", "shock_b_text",
+], ids=["flow_scan_1", "shock_eps", "shock_b_text",
         "shock_b_length", "edge_eps", "edge_eps_zero", "edge_eps_zero_entry",
         "roots_empty_box", "roots_box_text",
         "index_mixed_dimension"])

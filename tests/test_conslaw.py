@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specflow import flow
 from specflow.conslaw import (ShockModel, _ShockSystem, characteristic_speeds,
                               jump_leading_order, linearization_index,
                               shock_profile, zero_speed_constant,
@@ -69,6 +70,15 @@ def test_speeds_match_eigen_oracle(rng):
     c, E = characteristic_speeds(model)
     oracle = np.sort(-np.linalg.eigvalsh(dG + np.eye(2)))
     assert np.abs(np.sort(c) - oracle).max() < 1e-12
+
+
+def test_linearization_index_runs_no_flow(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the index ran a spectral flow")
+
+    monkeypatch.setattr(flow, "find_crossings", no_flow)
+    assert linearization_index(scalar_model(), 0.5) == -1
+    assert linearization_index(two_speed_model(), 0.4) == -2
 
 
 def test_linearization_index_values():

@@ -1,5 +1,5 @@
-"""Agreement of the index engines: spectral flow, certified winding, and
-the reference windings.
+"""Agreement of the index engines: spectral flow, certified winding
+(`fredholm_index`), and the reference windings.
 
 The pinned pairs of 2x2 limit symbols live in `pinned_pairs`.  Their
 reference index is the difference of the sampled axis windings of the limits
@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from specflow.charmatrix import is_hyperbolic
 from specflow.configio import symbol_from_json
-from specflow.flow import fredholm_index, winding_index
+from specflow.flow import fredholm_index
 from specflow.kernels import exponential_kernel, gaussian_kernel
 from specflow.symbols import ShiftTerm, Symbol
 
-from conftest import sampled_axis_winding
+from conftest import flow_index, sampled_axis_winding
 from pinned_pairs import PAIRS
 from rational import axis_winding
 
@@ -40,7 +40,7 @@ def test_pinned_pair_reference_index(name, build, index):
 @pytest.mark.parametrize("name, build, index", PAIRS, ids=IDS)
 def test_flow_matches_reference_index(name, build, index):
     s_minus, s_plus = build()
-    assert fredholm_index(s_minus, s_plus) == index
+    assert flow_index(s_minus, s_plus) == index
 
 
 def _exp_limit(n, a, M, A):
@@ -94,7 +94,7 @@ AGREEMENT_PAIRS = [(name, build) for name, build, _ in PAIRS] + [
 def test_flow_matches_winding_index(name, build):
     # the flow is the independent engine of the pair index W(s+) - W(s-)
     s_minus, s_plus = build()
-    assert fredholm_index(s_minus, s_plus) == winding_index(s_minus, s_plus)
+    assert flow_index(s_minus, s_plus) == fredholm_index(s_minus, s_plus)
 
 
 # -- certified windings against the exact and the sampled references -----

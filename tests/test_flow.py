@@ -16,7 +16,7 @@ from specflow.roots import Rectangle, locate_roots, track_root
 from specflow.symbols import (OperatorFamily, ShiftTerm, Symbol,
                               weight_shift)
 
-from conftest import (random_2x2_symbol, random_scalar_symbol,
+from conftest import (flow_index, random_2x2_symbol, random_scalar_symbol,
                       sampled_axis_winding as axis_winding)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
@@ -53,7 +53,7 @@ def test_constant_family_no_crossings():
     sym = Symbol(1, None, (ShiftTerm(0.0, [[1.0]]),), 2.0)
     fam = OperatorFamily.affine_homotopy(sym, sym)
     assert find_crossings(fam) == []
-    assert fredholm_index(sym, sym) == 0
+    assert flow_index(sym, sym) == fredholm_index(sym, sym) == 0
 
 
 def block_family():
@@ -78,17 +78,27 @@ def test_endpoint_not_hyperbolic_rejected():
         find_crossings(fam)
 
 
+def weighted_flow_index(symbol, gamma_minus, gamma_plus, scan_points=400):
+    """`weighted_index` by spectral flow between the shifted limits."""
+    return flow_index(weight_shift(symbol, gamma_minus),
+                      weight_shift(symbol, gamma_plus), scan_points)
+
+
 def test_weighted_index_simple_root_both_signs():
     sym = axis_root_symbol()
     for gamma in (0.02, 0.05, 0.1):
-        assert weighted_index(sym, -gamma, gamma) == -1
-        assert weighted_index(sym, gamma, -gamma) == 1
+        assert (weighted_flow_index(sym, -gamma, gamma)
+                == weighted_index(sym, -gamma, gamma) == -1)
+        assert (weighted_flow_index(sym, gamma, -gamma)
+                == weighted_index(sym, gamma, -gamma) == 1)
 
 
 def test_weighted_index_multiplicity_two():
     nil = Symbol(2, None, (ShiftTerm(0.0, [[0.0, 1.0], [0.0, 0.0]]),), 2.0)
-    assert weighted_index(nil, -0.35, 0.35) == -2
-    assert weighted_index(nil, 0.35, -0.35) == 2
+    assert (weighted_flow_index(nil, -0.35, 0.35)
+            == weighted_index(nil, -0.35, 0.35) == -2)
+    assert (weighted_flow_index(nil, 0.35, -0.35)
+            == weighted_index(nil, 0.35, -0.35) == 2)
 
 
 def test_side_exit_family_still_counts():
@@ -99,13 +109,13 @@ def test_side_exit_family_still_counts():
     dK, jump = K.derivative(), K.jump()
     kern = dK.sandwich([[1.0]], [[-1.0]]).scaled(-1.0)
     sym = Symbol(1, kern, (ShiftTerm(0.0, [[float(jump[0, 0].real)]]),), 0.9)
-    assert weighted_index(sym, -0.3, 0.3) == -2
+    assert weighted_flow_index(sym, -0.3, 0.3) == weighted_index(sym, -0.3, 0.3) == -2
 
 
 def test_path_independence(rng):
     s0 = random_scalar_symbol(rng)
     s1 = random_scalar_symbol(rng)
-    idx_affine = fredholm_index(s0, s1)
+    idx_affine = flow_index(s0, s1)
     mid = weight_shift(s0, 0.15)
     fam = OperatorFamily.tabulated([(-1.0, s0), (0.0, mid), (1.0, s1)])
     assert crossing_number(fam).index == idx_affine
@@ -147,10 +157,29 @@ def test_cocycle_weighted_chain():
     assert holds
 
 
+def test_index_runs_no_flow(tmp_path, monkeypatch):
+    # a pair's index is W(s+) - W(s-) of its limits; no crossing is looked for
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the index ran a spectral flow")
+
+    monkeypatch.setattr(flow, "find_crossings", no_flow)
+    pair = configio.load_config(CONFIGS / "mult2_pair.json")
+    assert fredholm_index(configio.symbol_from_json(pair["s_minus"]),
+                          configio.symbol_from_json(pair["s_plus"])) == -2
+    assert weighted_index(axis_root_symbol(), -0.1, 0.1) == -1
+    nil = Symbol(2, None, (ShiftTerm(0.0, [[0.0, 1.0], [0.0, 0.0]]),), 2.0)
+    assert weighted_index(nil, 0.35, -0.35) == 2
+    for name, want in (("mult2_pair.json", -2), ("tanh_scalar.json", -1)):
+        out = tmp_path / name
+        assert run(["index", "--config", str(CONFIGS / name),
+                    "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["index"] == want
+
+
 def test_integer_stability_under_resolution():
     sym = axis_root_symbol()
-    assert (weighted_index(sym, -0.1, 0.1, scan_points=400)
-            == weighted_index(sym, -0.1, 0.1, scan_points=800))
+    assert (weighted_flow_index(sym, -0.1, 0.1, scan_points=400)
+            == weighted_flow_index(sym, -0.1, 0.1, scan_points=800))
 
 
 def exp_pair(minus, plus, eta=1.5):
@@ -220,13 +249,12 @@ def test_missed_crossing_pairs(minus, plus):
     sm, sp = exp_pair(minus, plus)
     exact = exact_winding(sp) - exact_winding(sm)
     assert exact == axis_winding(sp) - axis_winding(sm)
-    assert fredholm_index(sm, sp) == exact
+    assert flow_index(sm, sp) == exact
 
 
 def test_unreconciled_audit_exits_numerical(tmp_path, monkeypatch):
     # a bracket resample that finds nothing leaves the audit mismatch in
-    # place: the index command refuses instead of printing a wrong integer.
-    # The flow runs on a family config; a pair config needs no flow.
+    # place: the flow command refuses instead of printing a wrong integer
     monkeypatch.setattr(flow, "_resample_bracket", lambda *args: [])
     limits = [{"n": 2, "eta": 1.5,
                "kernel": {"family": "exponential", "a": a, "M": M},
@@ -234,7 +262,7 @@ def test_unreconciled_audit_exits_numerical(tmp_path, monkeypatch):
     cfg = tmp_path / "family.json"
     cfg.write_text(json.dumps({"path": {"type": "affine", "s0": limits[0],
                                         "s1": limits[1]}}))
-    rc = run(["index", "--config", str(cfg), "--out", str(tmp_path)])
+    rc = run(["flow", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 3
     err = json.loads((tmp_path / "error.json").read_text())
     assert err["kind"] == "numerical"

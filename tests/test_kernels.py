@@ -4,13 +4,12 @@ from scipy.integrate import quad
 
 from specflow.charmatrix import delta_eval
 from specflow.errors import QuadratureTail, StripViolation
-from specflow.flow import fredholm_index
 from specflow.kernels import (ExpPolyKernel, GaussianKernel, SumKernel,
                               exponential_kernel, gaussian_kernel,
                               one_sided_exponential_kernel, sample_kernel)
 from specflow.symbols import ShiftTerm, Symbol, combine_symbols
 
-from conftest import random_2x2_symbol, random_scalar_symbol
+from conftest import flow_index, random_2x2_symbol, random_scalar_symbol
 
 
 def quad_transform(kernel, nu, order=0):
@@ -267,7 +266,7 @@ def test_gaussian_bounds_are_computed_at_construction(monkeypatch):
     moment = GaussianKernel._abs_moment
     monkeypatch.setattr(GaussianKernel, "_abs_moment",
                         lambda self, p: calls.append(p) or moment(self, p))
-    assert fredholm_index(s_minus, s_plus) == -1
+    assert flow_index(s_minus, s_plus) == -1
     assert calls == []
 
 

@@ -6,14 +6,13 @@ import pytest
 
 from specflow.charmatrix import adjoint_symbol, is_hyperbolic
 from specflow.configio import pencil_from_json
-from specflow.flow import fredholm_index
 from specflow.kernels import (ExpPolyKernel, SumKernel, exponential_kernel,
                               gaussian_kernel, sample_kernel)
 from rational import axis_winding, root_balance
 from specflow.symbols import (ShiftTerm, Symbol, combine_symbols,
                               weight_shift)
 
-from conftest import (random_2x2_symbol, random_scalar_symbol,
+from conftest import (flow_index, random_2x2_symbol, random_scalar_symbol,
                       sampled_axis_winding)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
@@ -118,6 +117,6 @@ def test_exact_index_equals_flow_on_neuralfield_windows(re, im):
             if not (is_hyperbolic(sm).hyperbolic and is_hyperbolic(sp).hyperbolic):
                 continue
             exact = axis_winding(sp) - axis_winding(sm)
-            assert fredholm_index(sm, sp, scan_points=200) == exact
+            assert flow_index(sm, sp, scan_points=200) == exact
             nodes += 1
     assert nodes > 0
