@@ -17,9 +17,16 @@ space (unknowns V = W_w * W on the grid, so the correction is forced to
 decay).  The residual evaluates the flux derivative analytically:
 (K*F(U))' = K' * F(U) plus the Dirac part from a kernel jump, and
 dG(U) U' with the slowly-varying ansatz differentiated in closed form.
-K' * F(U) is one trapezoid convolution with a kink correction (the
-window rows of `griddisc.conv_matrix`) on an extended grid that carries
-the ansatz beyond the window, plus exact constant tails.
+K' * F(U) is one trapezoid convolution with kink corrections (the rows
+of `griddisc.conv_matrix`) on an extended grid that carries the ansatz
+beyond the window, plus exact constant tails.  The kernel type picks
+the path.  An ExpPolyKernel (config families `exponential`,
+`one_sided_exponential`, `exp_poly`) has a rational transform: its rows
+are applied in O(N), one sweep per kernel term (`griddisc.ExpConvolution`),
+and the Jacobian is held as Q J with a banded annihilator Q
+(`griddisc.Annihilated`), so each Newton step is one sparse solve.
+Gaussian, sampled and sum kernels keep the dense window rows, a dense
+Jacobian and the Cholesky step.
 """
 
 from __future__ import annotations
@@ -27,13 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad_vec
 
 from .errors import (ConfigurationError, DegeneracyViolated, NonrealSpectrum,
                      RepeatedSpeeds, SingularMatrix)
-from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
-                       newton_solve)
-from .kernels import _real
+from .griddisc import (Annihilated, ExpConvolution, Grid, WeightedWindow,
+                       block_sparse, conv_matrix, fd_columns, newton_solve)
+from .kernels import ExpPolyKernel, _real
 from .symbols import ShiftTerm, Symbol
 from .flow import weighted_index
 
@@ -222,23 +230,60 @@ class _ShockSystem(WeightedWindow):
         # F(U) is taken on an extended grid, the ansatz beyond the window
         # and the profile on it, so window-edge quadrature errors act
         # only on quantities that vanish there; the constant tails beyond
-        # the extension are exact.  One matrix holds the window rows of the
-        # extended-grid convolution; a complex one (complex kernel data) is
-        # refused.
+        # the extension are exact.  An ExpPolyKernel's rows are applied in
+        # O(N) (ExpConvolution) and its Jacobian is held annihilated;
+        # any other kernel keeps the dense window rows of conv_matrix.  A
+        # complex kernel is refused.
         dK = model.kernel.derivative()
         self.K_jump = model.kernel.jump()
         next_ = int(round(12.0 / self.h))
         self.win = slice(next_, next_ + self.m)
         self.x_ext = x_ext = -grid.L + self.h * np.arange(-next_, self.m + next_)
-        self.C = _real(conv_matrix(dK, len(x_ext), n, self.h),
-                       "kernel (its K' convolution matrix)")[
-            self.win.start * n:self.win.stop * n].copy()
+        if isinstance(dK, ExpPolyKernel):
+            self._init_annihilated(ExpConvolution(dK, self.h))
+        else:
+            self.conv = None
+            self.C = _real(conv_matrix(dK, len(x_ext), n, self.h),
+                           "kernel (its K' convolution matrix)")[
+                self.win.start * n:self.win.stop * n].copy()
         self.chi_p_ext = 0.5 * (1.0 + np.tanh(x_ext))
         self.chi_m_ext = 0.5 * (1.0 - np.tanh(x_ext))
 
         # exact constant tails beyond the extended grid
         self.tail_right = np.real(dK.head_transform(self.x - x_ext[-1], 0.0))
         self.tail_left = np.real(dK.tail_transform(self.x - x_ext[0], 0.0))
+
+    def _init_annihilated(self, conv):
+        """The constant parts of the annihilated Jacobian.
+
+        T is the Toeplitz table of the window rows of K' plus the jump of
+        K on the diagonal, QT its annihilated form, and Dx the derivative
+        chain D4 - diag(w').  The column norms of the V block
+        T D_F + local split at the band w of Dx: `T_near` holds the
+        offsets |i - j| <= w, and `far_gram[j]` sums T(d)^T T(d) over the
+        rows of column j beyond, so the far part of a squared norm is
+        D_j^T far_gram[j] D_j.
+        """
+        m, n = self.m, self.n
+        self.conv = conv
+        T = conv.table(m)
+        T[m - 1] += np.real(self.K_jump)
+        self.QT = conv.annihilate(T, m)
+        self.Qn = sparse.kron(conv.annihilator(m), np.eye(n), format="csr")
+        self.Dx = Dx = (self.D4 - sparse.diags(self.dwexp)).tocoo()
+        w = int(np.abs(Dx.row - Dx.col).max())
+        rows = np.repeat(np.arange(m), 2 * w + 1)
+        cols = rows - np.tile(np.arange(-w, w + 1), m)
+        keep = (cols >= 0) & (cols < m)
+        rows, cols = rows[keep], cols[keep]
+        self.T_near = block_sparse(rows, cols, T[m - 1 + rows - cols], (m * n, m * n))
+        gram = np.einsum("dab,dac->dbc", T, T)
+        zero = np.zeros((1, n, n))
+        up = np.concatenate([zero, np.cumsum(gram[m + w:], axis=0)])
+        down = np.concatenate([zero, np.cumsum(gram[m - 2 - w::-1], axis=0)])
+        nodes = np.arange(m)
+        self.far_gram = (up[np.maximum(m - 1 - w - nodes, 0)]
+                         + down[np.maximum(nodes - w, 0)])
 
     # -- helpers ----------------------------------------------------------
 
@@ -273,7 +318,7 @@ class _ShockSystem(WeightedWindow):
         F_ext = self.model.flux_F(U_ext)
         U, FU = U_ext[self.win], F_ext[self.win]
         Up = self.profile_derivative(a, b, V)
-        R = (self.C @ F_ext.reshape(-1)).reshape(self.m, self.n)
+        R = self.kprime(F_ext)
         R = R + np.einsum("mij,j->mi", self.tail_right,
                           self.model.flux_F((self.E @ a)[None, :])[0])
         R = R + np.einsum("mij,j->mi", self.tail_left,
@@ -290,36 +335,72 @@ class _ShockSystem(WeightedWindow):
             R = np.append(R, a[self.free_b] + b[self.free_b])
         return R
 
+    def kprime(self, F_ext):
+        """Window rows of the K' convolution of F given on the extended grid."""
+        if self.conv is None:
+            return (self.C @ F_ext.reshape(-1)).reshape(self.m, self.n)
+        return self.conv.apply(F_ext)[self.win]
+
     def jacobian(self, z, res):
-        n, m = self.n, self.m
+        """Jacobian in (a, free b, active V): dense, or `Annihilated`.
+
+        The leading columns are forward differences.  The V block is
+        analytic: d/dV of F(U) is (K' rows on the window columns plus
+        I kron K_jump) times the block diagonal D_F of Fu(U) / W; d/dV of
+        dG(U) U' is the quadratic-G diagonal plus the transport of the
+        derivative, block (i, j) dG(U_i) Dx[i, j] / W_i.
+        """
         a, b, V = self.unpack(z)
         U = self.profile(a, b, V)
         Up = self.profile_derivative(a, b, V)
-        dFU = self.model.dflux_F(U)
-        dGU = self.model.dflux_G(U)
-
         invW = 1.0 / self.Wvec
-        # d/dV of F(U): (C on the window columns + I kron K_jump) times
-        # the block diagonal of Fu(U) / W, multiplied block by block
+        DF = self.model.dflux_F(U) * invW[:, None, None]
+        dGU = self.model.dflux_G(U)
+        G2U = (None if self.model.G2 is None
+               else np.einsum("ijk,mk->mij", self.model.G2, Up) * invW[:, None, None])
+        Jp = fd_columns(self.residual, z, res, self.n_params)
+        if self.conv is None:
+            return self._dense_jacobian(DF, dGU, invW, G2U, Jp)
+        return self._annihilated_jacobian(DF, dGU, invW, G2U, Jp)
+
+    def _dense_jacobian(self, DF, dGU, invW, G2U, Jp):
+        n, m = self.n, self.m
         Cwin = self.C[:, self.win.start * n:self.win.stop * n]
         A = Cwin + np.kron(np.eye(m), np.real(self.K_jump))
-        JV = np.einsum("rik,ikj->rij", A.reshape(m * n, m, n),
-                       dFU * invW[:, None, None]).reshape(m * n, m * n)
-        # d/dV of dG(U) U': quadratic-G term plus transport of the derivative,
-        # block (i, j) of the latter being dG(U_i) DxW[i, j]
-        Dx = self.D4 - np.diag(self.dwexp)
+        JV = np.einsum("rik,ikj->rij", A.reshape(m * n, m, n), DF).reshape(m * n, m * n)
+        Dx = self.D4.toarray() - np.diag(self.dwexp)
         DxW = Dx * invW[:, None]
         JV = JV + (dGU[:, :, None, :] * DxW[:, None, :, None]).reshape(m * n, m * n)
-        if self.model.G2 is not None:
-            G2U = np.einsum("ijk,mk->mij", self.model.G2, Up)
+        if G2U is not None:
             nodes = np.arange(m)
-            JV.reshape(m, n, m, n)[nodes, :, nodes, :] += G2U * invW[:, None, None]
-
+            JV.reshape(m, n, m, n)[nodes, :, nodes, :] += G2U
         if self.free_b is not None:
             JV = np.vstack([JV, np.zeros((1, JV.shape[1]))])
-        # finite-difference columns for a (and the free b component)
-        Jp = fd_columns(self.residual, z, res, self.n_params)
         return np.hstack([Jp, JV[:, self.active_flat]])
+
+    def _annihilated_jacobian(self, DF, dGU, invW, G2U, Jp):
+        """Q J as one sparse matrix: QT D_F plus Q times the local band."""
+        n, m = self.n, self.m
+        nodes = np.arange(m)
+        shape = (m * n, m * n)
+        Dx = self.Dx
+        local = block_sparse(Dx.row, Dx.col,
+                             dGU[Dx.row] * (Dx.data * invW[Dx.row])[:, None, None], shape)
+        if G2U is not None:
+            local = local + block_sparse(nodes, nodes, G2U, shape)
+        DFmat = block_sparse(nodes, nodes, DF, shape)
+        QJV = self.QT @ DFmat + self.Qn @ local
+        near = self.T_near @ DFmat + local
+        colnorm = np.sqrt(np.asarray(near.multiply(near).sum(axis=0)).ravel()
+                          + np.einsum("jab,jac,jcb->jb", DF, self.far_gram, DF).ravel())
+        Q = self.Qn
+        if self.free_b is not None:
+            QJV = sparse.vstack([QJV, sparse.csr_matrix((1, m * n))])
+            Q = sparse.block_diag([Q, sparse.identity(1)], format="csr")
+        QJ = sparse.hstack([sparse.csc_matrix(Q @ Jp),
+                            QJV.tocsc()[:, self.active_flat]], format="csc")
+        return Annihilated(QJ, Q, np.concatenate([np.linalg.norm(Jp, axis=0),
+                                                  colnorm[self.active_flat]]))
 
 
 def shock_profile(model, b, eps, grid=_GRID):

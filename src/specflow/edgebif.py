@@ -453,9 +453,11 @@ def edge_eigenvalue(model, eps, grid=_GRID, data=None):
 
     Newton on (a_-, gamma, w) with a_+ normalized to 1, seeded on the
     branch gamma ~ -M eps.  A negative M*eps puts the continuation on
-    the resonance branch (eigenfunction grows); the result is computed
-    anyway and flagged.  `data` is the model's EdgeData when the caller
-    already holds it.
+    the resonance branch (eigenfunction grows): when Newton converges
+    there the result is flagged (`resonance`), and when it does not it
+    raises NewtonDiverged (exit 3), as for `scalar_diffusive_model` of
+    the tests on Grid(60, 0.1) at eps = -0.25/|M|.  `data` is the
+    model's EdgeData when the caller already holds it.
     """
     data = data or edge_vectors(model)
     M = edge_constant(model, data)

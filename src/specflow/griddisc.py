@@ -33,6 +33,7 @@ edge-mass filter works on the subspace they span.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -53,7 +54,8 @@ __all__ = [
     "Grid", "GridOperator", "NullityResult", "assemble", "nullity",
     "index_estimate", "solve_inhomogeneous", "weight_exponent",
     "trapezoid_weights", "fd4_matrix", "conv_matrix",
-    "WeightedWindow", "newton_solve", "fd_columns",
+    "WeightedWindow", "newton_solve", "fd_columns", "ExpConvolution",
+    "Annihilated", "block_sparse",
 ]
 
 _TOL_RATIO = 1e3            # singular-value gap that makes a spectral cut clear
@@ -74,6 +76,8 @@ _EDGE_MASS_LIMIT = 0.5
 # equations, and the number of iterated-ridge solves per step
 _RIDGE = 1e-5
 _RIDGE_SOLVES = 5
+# rows per block of an exponential kernel's O(N) convolution sweep
+_SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -135,16 +139,23 @@ def _as_symbol_map(operator):
 
 
 def fd4_matrix(m, h):
-    """Fourth-order first-derivative matrix with one-sided closures."""
-    D = np.zeros((m, m))
+    """Fourth-order first-derivative matrix with one-sided closures (CSR).
+
+    Every row holds one 5-point stencil: centred on interior rows, and
+    one-sided on the two rows at each end.
+    """
     c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    for i in range(2, m - 2):
-        D[i, i - 2:i + 3] = c
     e = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-    for i in (0, 1):
-        D[i, i:i + 5] = e
-    for i in (m - 1, m - 2):
-        D[i, i - 4:i + 1] = -e[::-1]
+    rows = np.arange(m)
+    first = np.clip(rows - 2, 0, m - 5)
+    first[1], first[-2] = 1, m - 6
+    stencils = np.tile(c, (m, 1))
+    stencils[:2] = e
+    stencils[-2:] = -e[::-1]
+    D = sparse.csr_matrix(
+        (stencils.ravel(), (np.repeat(rows, 5), (first[:, None] + np.arange(5)).ravel())),
+        shape=(m, m))
+    D.eliminate_zeros()
     return D
 
 
@@ -194,6 +205,172 @@ def conv_matrix(kernel, m, n, h):
         return table[i:i + m][::-1], edge, [], cplx
     M = _fill(np.zeros((m * n, m * n)), h * np.arange(m), h, row)
     return np.subtract(0.0, M, out=M)
+
+
+def block_sparse(rows, cols, blocks, shape):
+    """CSR matrix with the n x n block (rows[k], cols[k]) = blocks[k]; repeats add."""
+    blocks = np.asarray(blocks)
+    n = blocks.shape[-1]
+    a = np.arange(n)
+    r = np.asarray(rows)[:, None, None] * n + a[None, :, None]
+    c = np.asarray(cols)[:, None, None] * n + a[None, None, :]
+    return sparse.csr_matrix(
+        (blocks.ravel(), (np.broadcast_to(r, blocks.shape).ravel(),
+                          np.broadcast_to(c, blocks.shape).ravel())), shape=shape)
+
+
+class _ExpPolySweep:
+    """y_i = sum_{d >= 1} (d h)^p e^{-b d h} x_{i - d} over the rows of x, in O(N).
+
+    The rows go in blocks of L = _SWEEP_BLOCK.  Inside a block the sum
+    is a small Toeplitz product.  The rows before block B enter through
+    the p + 1 moments S_q(B) = sum_{d >= 1} (d h)^q e^{-b d h} x_{BL - d},
+    by the binomial expansion of ((i + d) h)^p, and the moments carry
+    from block to block the same way: one sweep with a decay of
+    e^{-b L h} per step, so rounding does not pile up over the 1 / (b h)
+    rows the kernel reaches.
+    """
+
+    def __init__(self, b, p, h):
+        L = _SWEEP_BLOCK
+        d = np.arange(L + 1)
+        g = (h * d) ** p * np.exp(-b * (h * d))
+        i, q = np.arange(L), np.arange(p + 1)
+        lag = i[:, None] - i[None, :]
+        self.local = np.where(lag > 0, g[np.abs(lag)], 0.0)
+        binom = np.array([[math.comb(a, c) for c in q] for a in q], dtype=float)
+        # y_i += sum_q inward[i, q] S_q, and S_q(B + 1) = outward @ x + carry @ S(B)
+        self.inward = binom[p] * (h * i[:, None]) ** (p - q) * np.exp(-b * (h * i))[:, None]
+        self.outward = (h * (L - i)) ** q[:, None] * np.exp(-b * (h * (L - i)))
+        self.carry = binom * (h * L) ** np.subtract.outer(q, q).clip(0) * math.exp(-b * h * L)
+
+    def __call__(self, x):
+        L = _SWEEP_BLOCK
+        m = len(x)
+        blocks = np.zeros((-(-m // L) * L, x.shape[1]))
+        blocks[:m] = x
+        blocks = blocks.reshape(-1, L, x.shape[1])
+        out = np.einsum("qj,bjn->bqn", self.outward, blocks)
+        moments = np.zeros_like(out)
+        for B in range(1, len(blocks)):
+            moments[B] = out[B - 1] + self.carry @ moments[B - 1]
+        y = (np.einsum("ij,bjn->bin", self.local, blocks)
+             + np.einsum("iq,bqn->bin", self.inward, moments))
+        return y.reshape(-1, x.shape[1])[:m]
+
+
+class ExpConvolution:
+    """Interior rows of `conv_matrix` for a real ExpPolyKernel, in O(N).
+
+    The row data are `_conv_row`'s: the kernel at x_i - x_j times the
+    trapezoid weight of node j, plus the kink terms at |i - j| <= 1.  A
+    term C (d h)^p e^{-b d h} on the offsets d >= 1 (side +1; d <= -1 for
+    side -1) has a rational generating function: it is an ODE in
+    disguise, so its part of every row is one sweep (`apply`,
+    `_ExpPolySweep`).
+
+    The same fact in matrix form: with r = e^{-b h}, the unit-bidiagonal
+    factor I - r E^{-+1} (E^{-1} takes node i - 1 to row i) applied p + 1
+    times cancels such a term in every row away from the diagonal.  The
+    product Q of these factors over the distinct (side, rate) pairs, at
+    each pair's highest power, turns the block Toeplitz matrix of the
+    rows (`table`) into a band (`annihilate`).
+    """
+
+    def __init__(self, kernel, h):
+        self.h = h
+        value = kernel.value(np.zeros(1))[0]
+        edge = _edge_data(kernel)
+        if any(np.any(np.imag(v)) for v in [value, *edge, *(C for *_, C in kernel.terms)]):
+            raise ConfigurationError("an O(N) convolution needs a real kernel")
+        self.kernel = kernel
+        self.at_zero = np.real(value)
+        _, _, j0, j1 = (np.real(v) for v in edge)
+        cc = h * h / 12.0
+        # the kink terms of an interior row at offsets d = i - j = 0, 1, -1
+        self.kink = {0: cc * j1, 1: -(cc * j0 * (-0.5 / h)), -1: -(cc * j0 * (0.5 / h))}
+        self.sweeps = [(side, _ExpPolySweep(b, p, h), np.real(C))
+                       for side, b, p, C in kernel.terms]
+        powers = {}
+        for side, b, p, _ in kernel.terms:
+            powers[side, b] = max(powers.get((side, b), 0), p + 1)
+        self.lower = self.upper = np.ones(1)
+        for (side, b), count in powers.items():
+            factor = np.ones(1)
+            for _ in range(count):
+                factor = np.convolve(factor, [1.0, -math.exp(-b * h)])
+            if side > 0:
+                self.lower = np.convolve(self.lower, factor)
+            else:
+                self.upper = np.convolve(self.upper, factor)
+
+    def apply(self, F):
+        """The interior-row rule applied to F, shape (m, n), on m grid nodes.
+
+        Rows 1 .. m - 2 equal `conv_matrix` @ F; the two end rows take
+        the interior rule, not `_conv_row`'s corner rule.
+        """
+        x = trapezoid_weights(len(F), self.h)[:, None] * F
+        y = x @ self.at_zero.T + F @ self.kink[0].T
+        y[1:] += F[:-1] @ self.kink[1].T
+        y[:-1] += F[1:] @ self.kink[-1].T
+        for side, sweep, C in self.sweeps:
+            y += (sweep(x) if side > 0 else sweep(x[::-1])[::-1]) @ C.T
+        return y
+
+    def table(self, m):
+        """Blocks of the rows by offset: T[m - 1 + d] at d = i - j, |d| < m.
+
+        These are the rows of a grid whose columns all carry the full
+        trapezoid weight h (the window rows and columns of a larger grid).
+        """
+        T = self.h * np.real(self.kernel.value(self.h * np.arange(-(m - 1), m)))
+        for d, K in self.kink.items():
+            T[m - 1 + d] += K
+        return T
+
+    def _stencils(self, m):
+        """Q by rows: coefficient [i, KL + e] at column i + e, e = -KL .. KU.
+
+        Interior rows hold the upper factors times the lower ones.  The
+        KL first rows hold the upper factors alone and the KU last rows
+        the lower ones alone: there a product would reach past the
+        matrix edge and leave whole rows of the Toeplitz part standing.
+        """
+        KL, KU = len(self.lower) - 1, len(self.upper) - 1
+        coef = np.tile(np.convolve(self.upper, self.lower[::-1]), (m, 1))
+        coef[:KL] = np.concatenate([np.zeros(KL), self.upper])
+        coef[m - KU:] = np.concatenate([self.lower[::-1], np.zeros(KU)])
+        return coef, KL, KU
+
+    def annihilator(self, m):
+        """Q on m nodes (CSR), invertible and banded (see `_stencils`)."""
+        coef, KL, KU = self._stencils(m)
+        e = np.arange(-KL, KU + 1)
+        rows = np.repeat(np.arange(m), len(e))
+        cols = rows + np.tile(e, m)
+        keep = (cols >= 0) & (cols < m)
+        return sparse.csr_matrix((coef.ravel()[keep], (rows[keep], cols[keep])),
+                                 shape=(m, m))
+
+    def annihilate(self, T, m):
+        """(Q kron I_n) times the block Toeplitz matrix of the table T (CSR).
+
+        T may differ from `table(m)` at offsets |d| <= 1 only.  Every row
+        of the product vanishes beyond the offsets d = i - j in
+        -(KU + 1) .. KL + 1, so only that band is formed:
+        block (i, i - d) = sum_e Q[i, i + e] T(d + e).
+        """
+        coef, KL, KU = self._stencils(m)
+        d = np.arange(-(KU + 1), KL + 2)
+        e = np.arange(-KL, KU + 1)
+        blocks = np.einsum("ie,deab->idab", coef, T[m - 1 + d[:, None] + e[None, :]])
+        rows = np.repeat(np.arange(m), len(d))
+        cols = rows - np.tile(d, m)
+        keep = (cols >= 0) & (cols < m)
+        n = T.shape[-1]
+        return block_sparse(rows[keep], cols[keep], blocks.reshape(-1, n, n)[keep],
+                            (m * n, m * n))
 
 
 def _derivative_matrix(m, h):
@@ -640,34 +817,66 @@ def fd_columns(residual, z, base, count):
     return J
 
 
+@dataclass
+class Annihilated:
+    """A Jacobian J held as Q J and an invertible banded Q, both sparse.
+
+    `colnorm` are the column norms of J itself.  `_ls_step` solves with
+    Q J and Q Q^T, which are banded when J is banded plus an exponential
+    kernel's block Toeplitz part that Q annihilates (`ExpConvolution`).
+    """
+    QJ: sparse.spmatrix
+    Q: sparse.spmatrix
+    colnorm: np.ndarray
+
+
 def _ls_step(J, res):
     """Least-squares solution of J step = -res, by iterated ridge.
 
     The columns are equilibrated first: the weighted window unknowns
-    carry exponentially disparate scales.  With A the scaled matrix,
-    N = A^T A + _RIDGE^2 I is factored once (Cholesky for a dense J, a
-    sparse LU for a scipy.sparse J), and _RIDGE_SOLVES refinements
-    x <- x + N^{-1} A^T (-res - A x) from x = 0 follow.  Directions with
+    carry exponentially disparate scales.  With A the scaled matrix and
+    N = A^T A + _RIDGE^2 I, _RIDGE_SOLVES refinements
+    x <- x + N^{-1} A^T (-res - A x) from x = 0 follow, through one
+    factorization: Cholesky of N for a dense J, a sparse LU of N for a
+    scipy.sparse J.  For an `Annihilated` J, with B = Q A and G = Q Q^T,
+    one sparse LU of [[G, B], [B^T, -_RIDGE^2 I]] gives N^{-1} A^T r from
+    the right-hand side (Q r, 0), and N is never formed.  Directions with
     singular value s >> _RIDGE are solved to rounding; null directions
     (s << _RIDGE) stay out of the step, so no rank cut decides what the
     step is.
     """
-    if sparse.issparse(J):
-        colnorm = sparse_norm(J, axis=0)
+    if isinstance(J, Annihilated):
+        colnorm = J.colnorm.copy()
         colnorm[colnorm == 0] = 1.0
-        A = sparse.csc_matrix(J) @ sparse.diags(1.0 / colnorm)
-        N = A.T @ A + _RIDGE ** 2 * sparse.identity(len(colnorm))
-        solve = splu(sparse.csc_matrix(N)).solve
+        B = J.QJ @ sparse.diags(1.0 / colnorm)
+        k = B.shape[1]
+        K = sparse.bmat([[J.Q @ J.Q.T, B], [B.T, -_RIDGE ** 2 * sparse.identity(k)]],
+                        format="csc")
+        solve = splu(K).solve
+        Qres = J.Q @ res
+
+        def correction(x):
+            return solve(np.concatenate([-Qres - B @ x, np.zeros(k)]))[-k:]
     else:
-        colnorm = np.linalg.norm(J, axis=0)
-        colnorm[colnorm == 0] = 1.0
-        A = J / colnorm
-        N = A.T @ A
-        N[np.diag_indices_from(N)] += _RIDGE ** 2
-        solve = partial(cho_solve, cho_factor(N))
-    x = np.zeros(A.shape[1])
+        if sparse.issparse(J):
+            colnorm = sparse_norm(J, axis=0)
+            colnorm[colnorm == 0] = 1.0
+            A = sparse.csc_matrix(J) @ sparse.diags(1.0 / colnorm)
+            N = A.T @ A + _RIDGE ** 2 * sparse.identity(len(colnorm))
+            solve = splu(sparse.csc_matrix(N)).solve
+        else:
+            colnorm = np.linalg.norm(J, axis=0)
+            colnorm[colnorm == 0] = 1.0
+            A = J / colnorm
+            N = A.T @ A
+            N[np.diag_indices_from(N)] += _RIDGE ** 2
+            solve = partial(cho_solve, cho_factor(N))
+
+        def correction(x):
+            return solve(A.T @ (-res - A @ x))
+    x = np.zeros(len(colnorm))
     for _ in range(_RIDGE_SOLVES):
-        x = x + solve(A.T @ (-res - A @ x))
+        x = x + correction(x)
     return x / colnorm
 
 

@@ -1,17 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from specflow import flow
+from specflow import configio, conslaw, flow, griddisc
 from specflow.conslaw import (ShockModel, _ShockSystem, characteristic_speeds,
                               jump_leading_order, linearization_index,
                               shock_profile, zero_speed_constant,
                               zero_speed_selection, zero_speeds)
 from specflow.errors import (ConfigurationError, DegeneracyViolated,
                              SingularMatrix)
-from specflow.griddisc import Grid, index_estimate
-from specflow.kernels import (exponential_kernel, gaussian_kernel,
+from specflow.griddisc import Annihilated, Grid, index_estimate
+from specflow.kernels import (ExpPolyKernel, exponential_kernel, gaussian_kernel,
                               one_sided_exponential_kernel)
+
+from shock_reference import (annihilated_to_dense, dense_kprime_rows,
+                             dense_shock_jacobian)
 
 
 def gaussian_source(vec):
@@ -272,7 +277,7 @@ def test_shock_convolution_matches_quadrature(kernel):
     model = ShockModel(n=1, kernel=kernel, dF=[[1.0]], dG=[[1.0]],
                        source=gaussian_source([1.0]), eta=0.45)
     sys = _ShockSystem(model, Grid(L=30.0, h=0.05), np.zeros(1), 0.0)
-    conv = (sys.C @ np.tanh(sys.x_ext) + sys.tail_right[:, 0, 0]
+    conv = (sys.kprime(np.tanh(sys.x_ext)[:, None])[:, 0] + sys.tail_right[:, 0, 0]
             - sys.tail_left[:, 0, 0])
     dK = kernel.derivative()
 
@@ -297,7 +302,7 @@ def test_shock_jacobian_matches_forward_differences_with_quadratic_fluxes(rng):
     sys = _ShockSystem(model, Grid(L=5.0, h=0.1), np.array([0.05, -0.03]), 0.01)
     z = 0.1 * rng.normal(size=sys.n_params + int(sys.active_flat.sum()))
     res = sys.residual(z)
-    J = sys.jacobian(z, res)
+    J = annihilated_to_dense(sys.jacobian(z, res))
     fd = np.empty_like(J)
     for k in range(len(z)):
         step = 1e-7 * (1.0 + abs(z[k]))
@@ -305,3 +310,73 @@ def test_shock_jacobian_matches_forward_differences_with_quadratic_fluxes(rng):
         dz[k] += step
         fd[:, k] = (sys.residual(dz) - res) / step
     assert np.abs(J - fd).max() <= 1e-5 * np.abs(J).max()
+
+
+def _matrix_kernel_model():
+    # a full 2 x 2 kernel matrix and both quadratic fluxes
+    F2 = np.zeros((2, 2, 2))
+    F2[0, 1, 1] = F2[1, 0, 1] = F2[1, 1, 0] = 0.3
+    G2 = np.zeros((2, 2, 2))
+    G2[0, 0, 0] = G2[1, 0, 1] = G2[1, 1, 0] = 0.5
+    return ShockModel(
+        n=2, kernel=exponential_kernel(2.0, [[1.0, 0.3], [0.2, 0.8]]),
+        dF=np.eye(2), dG=np.array([[1.5, 0.2], [0.2, 0.8]]),
+        source=gaussian_source([1.0, 0.5]), F2=F2, G2=G2, eta=0.6)
+
+
+def _exp_poly_model():
+    # power 1 and two rates: K' has powers 0 and 1 at rate 1.5 on the
+    # right, and rate 2.5 on both sides
+    kernel = ExpPolyKernel(1, [(+1, 1.5, 1, [[0.8]]), (+1, 2.5, 0, [[-0.3]]),
+                               (-1, 2.5, 0, [[0.6]])])
+    return ShockModel(n=1, kernel=kernel, dF=[[1.0]], dG=[[1.0]],
+                      source=gaussian_source([1.0]), G2=np.array([[[1.0]]]), eta=0.6)
+
+
+STRUCTURED_CASES = {
+    "exponential": (scalar_model, None),
+    "one_sided_zero_speed": (zero_speed_model, 0),
+    "matrix_n2": (_matrix_kernel_model, None),
+    "exp_poly_power1": (_exp_poly_model, None),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURED_CASES))
+def test_structured_kprime_and_jacobian_match_dense_assembly(case, rng):
+    make, free_b = STRUCTURED_CASES[case]
+    model = make()
+    sys = _ShockSystem(model, Grid(L=10.0, h=0.05), 0.01 * np.ones(model.n), 1e-3,
+                       free_b_index=free_b)
+    C = dense_kprime_rows(sys)
+    F = rng.normal(size=(len(sys.x_ext), model.n))
+    ref = (C @ F.reshape(-1)).reshape(sys.m, sys.n)
+    scale = (np.abs(C) @ np.abs(F.reshape(-1))).max()
+    assert np.abs(sys.kprime(F) - ref).max() <= 1e-14 * scale
+
+    z = 1e-3 * rng.normal(size=sys.n_params + int(sys.active_flat.sum()))
+    res = sys.residual(z)
+    J = sys.jacobian(z, res)
+    assert isinstance(J, Annihilated)
+    J_ref = dense_shock_jacobian(sys, z, res)
+    QJ_ref = J.Q.toarray() @ J_ref
+    assert np.abs(J.QJ.toarray() - QJ_ref).max() <= 1e-14 * np.abs(QJ_ref).max()
+    assert np.abs(J.colnorm / np.linalg.norm(J_ref, axis=0) - 1).max() <= 1e-14
+
+
+def test_exponential_shocks_run_no_dense_solve(monkeypatch):
+    # the shipped configs take the O(N) path: neither the dense K' rows
+    # nor the Cholesky factor of the normal equations is ever formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(griddisc, "cho_factor", refuse)
+    monkeypatch.setattr(conslaw, "conv_matrix", refuse)
+    configs = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
+    model = configio.shock_model_from_json(
+        configio.load_config(configs / "shock_scalar.json"))
+    sol = shock_profile(model, np.zeros(1), 1e-3)
+    assert sol.jump[0] / 1e-3 == pytest.approx(jump_leading_order(model)[0], rel=0.01)
+    model = configio.shock_model_from_json(
+        configio.load_config(configs / "shock_zero_speed.json"))
+    a0, b0, M, _ = zero_speed_selection(model, 1e-3)
+    assert (a0 - b0) / 1e-3 == pytest.approx(np.sqrt(np.pi) / 2, rel=0.03)

@@ -6,7 +6,7 @@ import specflow.griddisc as griddisc
 from specflow.edgebif import (EdgeModel, _EdgeSystem, diffusive_check,
                               edge_constant, edge_eigenvalue, edge_scaling,
                               edge_vectors, smooth_ramp)
-from specflow.errors import ConfigurationError
+from specflow.errors import ConfigurationError, NewtonDiverged
 from specflow.griddisc import Grid, assemble, fd_columns, nullity
 from specflow.kernels import ExpPolyKernel, gaussian_kernel
 
@@ -163,6 +163,14 @@ def test_resonance_branch_flagged():
     r = edge_eigenvalue(model, -0.02)
     assert r.resonance
     assert r.diagnostics["nu_plus"].real > 0   # grows: resonance pole
+
+
+def test_resonance_branch_can_raise():
+    # the resonance branch is flagged only when Newton converges there
+    model = scalar_diffusive_model()
+    eps = -0.25 / abs(edge_constant(model))
+    with pytest.raises(NewtonDiverged):
+        edge_eigenvalue(model, eps, grid=Grid(L=60.0, h=0.1))
 
 
 def test_scalar_model_eigenvalue_and_nullity():

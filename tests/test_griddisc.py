@@ -11,7 +11,8 @@ from specflow import griddisc
 from specflow.errors import (ConfigurationError, GridTooCoarse, NewtonDiverged,
                              TailUnresolved)
 from specflow.flow import weighted_index
-from specflow.griddisc import (Grid, _classify_spectrum, _jordan_wielandt_band,
+from specflow.griddisc import (Annihilated, ExpConvolution, Grid,
+                               _classify_spectrum, _jordan_wielandt_band,
                                _ls_step, assemble, assemble_adjoint,
                                conv_matrix, fd4_matrix, fd_columns,
                                index_estimate, newton_solve, nullity,
@@ -433,7 +434,13 @@ def _sawtooth_system(nb=60):
     return J, null, rng.standard_normal(nb + 2) / np.linalg.norm(J, axis=0)
 
 
-@pytest.mark.parametrize("form", ["dense", "sparse"])
+def _annihilated(J):
+    """J as an `Annihilated` Q J, Q the annihilator of a two-sided exponential."""
+    Q = ExpConvolution(exponential_kernel(2.0, [[1.0]]), 0.05).annihilator(J.shape[0])
+    return Annihilated(sparse.csr_matrix(Q @ J), Q, np.linalg.norm(J, axis=0))
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse", "annihilated"])
 def test_ls_step_is_the_minimum_norm_step(form):
     J, null, x0 = _sawtooth_system()
     res = -J @ x0
@@ -443,7 +450,8 @@ def test_ls_step_is_the_minimum_norm_step(form):
     # the ridge parameter
     assert s[-1] < 1e-15 and s[-2] > 1e-3
     ref = np.linalg.lstsq(J / colnorm, -res, rcond=None)[0]
-    step = _ls_step(J if form == "dense" else sparse.csr_matrix(J), res) * colnorm
+    given = {"dense": J, "sparse": sparse.csr_matrix(J), "annihilated": _annihilated(J)}
+    step = _ls_step(given[form], res) * colnorm
     v = null * colnorm
     v /= np.linalg.norm(v)
     along = v @ step
