@@ -17,16 +17,16 @@ space (unknowns V = W_w * W on the grid, so the correction is forced to
 decay).  The residual evaluates the flux derivative analytically:
 (K*F(U))' = K' * F(U) plus the Dirac part from a kernel jump, and
 dG(U) U' with the slowly-varying ansatz differentiated in closed form.
-K' * F(U) is one trapezoid convolution with kink corrections (the rows
-of `griddisc.conv_matrix`) on an extended grid that carries the ansatz
-beyond the window, plus exact constant tails.  The kernel type picks
-the path.  An ExpPolyKernel (config families `exponential`,
-`one_sided_exponential`, `exp_poly`) has a rational transform: its rows
-are applied in O(N), one sweep per kernel term (`griddisc.ExpConvolution`),
-and the Jacobian is held as Q J with a banded annihilator Q
-(`griddisc.Annihilated`), so each Newton step is one sparse solve.
-Gaussian, sampled and sum kernels keep the dense window rows, a dense
-Jacobian and the Cholesky step.
+K' * F(U) is the window rows of one kink-corrected trapezoid convolution
+(`griddisc.Convolution`) on an extended grid that carries the ansatz
+beyond the window, plus the exact tails of the constant far states (the
+nu = 0 case of the edge layer's far fields).  The Jacobian's V block is
+the Toeplitz table T of those rows times the flux derivative, plus a
+local band.  A rational kernel (config families `exponential`,
+`one_sided_exponential`, `exp_poly`) applies its rows in O(N), and its
+Jacobian is held as Q J with a banded annihilator Q
+(`griddisc.Annihilated`), so each Newton step is one sparse solve; any
+other kernel has a dense block Toeplitz Jacobian.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from scipy.integrate import quad_vec
 
 from .errors import (ConfigurationError, DegeneracyViolated, NonrealSpectrum,
                      RepeatedSpeeds, SingularMatrix)
-from .griddisc import (Annihilated, ExpConvolution, Grid, WeightedWindow,
-                       block_sparse, conv_matrix, fd_columns, newton_solve)
-from .kernels import ExpPolyKernel, _real
+from .griddisc import (Annihilated, Convolution, Grid, WeightedWindow,
+                       block_sparse, block_toeplitz, fd_columns, newton_solve)
+from .kernels import _real
 from .symbols import ShiftTerm, Symbol
 from .flow import weighted_index
 
@@ -218,7 +218,6 @@ class _ShockSystem(WeightedWindow):
         self.eps = float(eps)
         self.b = np.asarray(b, dtype=float)
         self.free_b = free_b_index
-        n = self.n
 
         speeds, E = characteristic_speeds(model)
         self.E = E
@@ -226,51 +225,42 @@ class _ShockSystem(WeightedWindow):
 
         self.Hx = self.eps * model.source_at(self.x)
 
-        # Convolution with K' (smooth part of the flux-kernel derivative):
-        # F(U) is taken on an extended grid, the ansatz beyond the window
-        # and the profile on it, so window-edge quadrature errors act
-        # only on quantities that vanish there; the constant tails beyond
-        # the extension are exact.  An ExpPolyKernel's rows are applied in
-        # O(N) (ExpConvolution) and its Jacobian is held annihilated;
-        # any other kernel keeps the dense window rows of conv_matrix.  A
-        # complex kernel is refused.
+        # K' * F(U): the window rows of one Convolution on the extended
+        # grid, which carries the ansatz beyond the window, plus the exact
+        # tails of the constant far states (nu = 0) beyond it.  A complex
+        # kernel is refused.
         dK = model.kernel.derivative()
         self.K_jump = model.kernel.jump()
-        next_ = int(round(12.0 / self.h))
-        self.win = slice(next_, next_ + self.m)
-        self.x_ext = x_ext = -grid.L + self.h * np.arange(-next_, self.m + next_)
-        if isinstance(dK, ExpPolyKernel):
-            self._init_annihilated(ExpConvolution(dK, self.h))
+        self.conv = Convolution(dK, self.h)
+        self.chi_p_ext = 0.5 * (1.0 + np.tanh(self.x_ext))
+        self.chi_m_ext = 0.5 * (1.0 - np.tanh(self.x_ext))
+        self.tail_right, self.tail_left = self.far_tails(dK, 0.0, 0.0)
+
+        # the V block of the Jacobian is T D_F plus a local band: T the
+        # Toeplitz table of the window rows of K' plus the jump of K on
+        # the diagonal, and Dx the derivative chain D4 - diag(w')
+        m = self.m
+        T = self.conv.table(m)
+        T[m - 1] += np.real(self.K_jump)
+        self.Dx = (self.D4 - sparse.diags(self.dwexp)).tocoo()
+        if self.conv.rational:
+            self._init_annihilated(T)
         else:
-            self.conv = None
-            self.C = _real(conv_matrix(dK, len(x_ext), n, self.h),
-                           "kernel (its K' convolution matrix)")[
-                self.win.start * n:self.win.stop * n].copy()
-        self.chi_p_ext = 0.5 * (1.0 + np.tanh(x_ext))
-        self.chi_m_ext = 0.5 * (1.0 - np.tanh(x_ext))
+            self.T_dense = block_toeplitz(T)
 
-        # exact constant tails beyond the extended grid
-        self.tail_right = np.real(dK.head_transform(self.x - x_ext[-1], 0.0))
-        self.tail_left = np.real(dK.tail_transform(self.x - x_ext[0], 0.0))
-
-    def _init_annihilated(self, conv):
+    def _init_annihilated(self, T):
         """The constant parts of the annihilated Jacobian.
 
-        T is the Toeplitz table of the window rows of K' plus the jump of
-        K on the diagonal, QT its annihilated form, and Dx the derivative
-        chain D4 - diag(w').  The column norms of the V block
-        T D_F + local split at the band w of Dx: `T_near` holds the
-        offsets |i - j| <= w, and `far_gram[j]` sums T(d)^T T(d) over the
-        rows of column j beyond, so the far part of a squared norm is
-        D_j^T far_gram[j] D_j.
+        QT is the annihilated form of the table T.  The column norms of
+        the V block T D_F + local split at the band w of Dx: `T_near`
+        holds the offsets |i - j| <= w, and `far_gram[j]` sums
+        T(d)^T T(d) over the rows of column j beyond, so the far part of
+        a squared norm is D_j^T far_gram[j] D_j.
         """
         m, n = self.m, self.n
-        self.conv = conv
-        T = conv.table(m)
-        T[m - 1] += np.real(self.K_jump)
-        self.QT = conv.annihilate(T, m)
-        self.Qn = sparse.kron(conv.annihilator(m), np.eye(n), format="csr")
-        self.Dx = Dx = (self.D4 - sparse.diags(self.dwexp)).tocoo()
+        self.QT = self.conv.annihilate(T, m)
+        self.Qn = sparse.kron(self.conv.annihilator(m), np.eye(n), format="csr")
+        Dx = self.Dx
         w = int(np.abs(Dx.row - Dx.col).max())
         rows = np.repeat(np.arange(m), 2 * w + 1)
         cols = rows - np.tile(np.arange(-w, w + 1), m)
@@ -337,8 +327,6 @@ class _ShockSystem(WeightedWindow):
 
     def kprime(self, F_ext):
         """Window rows of the K' convolution of F given on the extended grid."""
-        if self.conv is None:
-            return (self.C @ F_ext.reshape(-1)).reshape(self.m, self.n)
         return self.conv.apply(F_ext)[self.win]
 
     def jacobian(self, z, res):
@@ -347,48 +335,40 @@ class _ShockSystem(WeightedWindow):
         The leading columns are forward differences.  The V block is
         analytic: d/dV of F(U) is (K' rows on the window columns plus
         I kron K_jump) times the block diagonal D_F of Fu(U) / W; d/dV of
-        dG(U) U' is the quadratic-G diagonal plus the transport of the
-        derivative, block (i, j) dG(U_i) Dx[i, j] / W_i.
+        dG(U) U' is the local band: the quadratic-G diagonal plus the
+        transport of the derivative, block (i, j) dG(U_i) Dx[i, j] / W_i.
+        A rational kernel's Jacobian is held annihilated, any other one
+        is the dense block Toeplitz of T times D_F plus the band.
         """
+        n, m = self.n, self.m
         a, b, V = self.unpack(z)
         U = self.profile(a, b, V)
         Up = self.profile_derivative(a, b, V)
         invW = 1.0 / self.Wvec
         DF = self.model.dflux_F(U) * invW[:, None, None]
         dGU = self.model.dflux_G(U)
-        G2U = (None if self.model.G2 is None
-               else np.einsum("ijk,mk->mij", self.model.G2, Up) * invW[:, None, None])
         Jp = fd_columns(self.residual, z, res, self.n_params)
-        if self.conv is None:
-            return self._dense_jacobian(DF, dGU, invW, G2U, Jp)
-        return self._annihilated_jacobian(DF, dGU, invW, G2U, Jp)
-
-    def _dense_jacobian(self, DF, dGU, invW, G2U, Jp):
-        n, m = self.n, self.m
-        Cwin = self.C[:, self.win.start * n:self.win.stop * n]
-        A = Cwin + np.kron(np.eye(m), np.real(self.K_jump))
-        JV = np.einsum("rik,ikj->rij", A.reshape(m * n, m, n), DF).reshape(m * n, m * n)
-        Dx = self.D4.toarray() - np.diag(self.dwexp)
-        DxW = Dx * invW[:, None]
-        JV = JV + (dGU[:, :, None, :] * DxW[:, None, :, None]).reshape(m * n, m * n)
-        if G2U is not None:
-            nodes = np.arange(m)
-            JV.reshape(m, n, m, n)[nodes, :, nodes, :] += G2U
-        if self.free_b is not None:
-            JV = np.vstack([JV, np.zeros((1, JV.shape[1]))])
-        return np.hstack([Jp, JV[:, self.active_flat]])
-
-    def _annihilated_jacobian(self, DF, dGU, invW, G2U, Jp):
-        """Q J as one sparse matrix: QT D_F plus Q times the local band."""
-        n, m = self.n, self.m
         nodes = np.arange(m)
         shape = (m * n, m * n)
         Dx = self.Dx
         local = block_sparse(Dx.row, Dx.col,
                              dGU[Dx.row] * (Dx.data * invW[Dx.row])[:, None, None], shape)
-        if G2U is not None:
+        if self.model.G2 is not None:
+            G2U = np.einsum("ijk,mk->mij", self.model.G2, Up) * invW[:, None, None]
             local = local + block_sparse(nodes, nodes, G2U, shape)
-        DFmat = block_sparse(nodes, nodes, DF, shape)
+        if self.conv.rational:
+            return self._annihilated_jacobian(DF, local, Jp)
+        JV = np.einsum("rik,ikj->rij", self.T_dense.reshape(m * n, m, n), DF).reshape(shape)
+        JV += local.toarray()
+        if self.free_b is not None:
+            JV = np.vstack([JV, np.zeros((1, JV.shape[1]))])
+        return np.hstack([Jp, JV[:, self.active_flat]])
+
+    def _annihilated_jacobian(self, DF, local, Jp):
+        """Q J as one sparse matrix: QT D_F plus Q times the local band."""
+        n, m = self.n, self.m
+        nodes = np.arange(m)
+        DFmat = block_sparse(nodes, nodes, DF, (m * n, m * n))
         QJV = self.QT @ DFmat + self.Qn @ local
         near = self.T_near @ DFmat + local
         colnorm = np.sqrt(np.asarray(near.multiply(near).sum(axis=0)).ravel()

@@ -16,7 +16,9 @@ The eigenfunction is sought with far fields carried analytically,
     U = a_+ e_+(g) chi_+ exp(nu_+(g) x) + a_- e_-(g) chi_- exp(nu_-(g) x) + w,
 
 g^2 = lambda, so the slowly decaying modes never meet the grid
-truncation; only the fast-decaying remainder w lives on the window.
+truncation; only the fast-decaying remainder w lives on the window.  A
+kernel meets them through the window rows of one `griddisc.Convolution`
+on the extended grid, and beyond it exactly, through partial transforms.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from scipy.integrate import quad
 from .charmatrix import _cauchy_derivatives, axis_cutoff, delta_eval
 from .errors import (CompatibilityViolated, GenericityViolated, NewtonDiverged,
                      RankMismatch)
-from .griddisc import (Grid, WeightedWindow, conv_matrix, fd_columns,
-                       newton_solve)
+from .griddisc import (Convolution, Grid, WeightedWindow, block_toeplitz,
+                       fd_columns, newton_solve)
 from .kernels import _real
 from .roots import Rectangle, newton_root
 from .symbols import ShiftTerm, Symbol
@@ -337,26 +339,36 @@ class _EdgeSystem(WeightedWindow):
         self.eps = float(eps)
         self.data = data
 
-        rho, drho = smooth_ramp(self.x)
+        rho, drho = smooth_ramp(self.x_ext)
         self.chi_p = 0.5 * (1.0 + rho)
         self.chi_m = 0.5 * (1.0 - rho)
-        self.dchi = 0.5 * drho
+        self.dchi = 0.5 * drho[self.win]
 
         self.Vx = np.asarray(model.V(self.x), dtype=float).reshape(self.m)
 
-        # window convolution matrices of the base and perturbation kernels
-        # acting on w.  EdgeModel refused kernels complex on the default
-        # window's nodes, before any solve; the matrix samples the kernel
-        # out to twice this grid's half-width, which that check did not
-        # see, so a complex matrix is refused here as well
-        self.Cw = self.pert_Cw = None
+        # the derivative chain divides by the weight at the output node
+        # (scale on the left), every other term at the input node (scale
+        # on the right)
+        n = self.n
+        self.scale = sparse.diags(np.repeat(1.0 / self.Wvec, n))
+        self.chain = self.scale @ (sparse.kron(self.D4, np.eye(n))
+                                   - sparse.diags(np.repeat(self.dwexp, n)))
+
+        # the kernels' convolutions and their constant part of the w block,
+        # the block Toeplitz matrix of the window rows.  Their tables reach
+        # past the nodes where EdgeModel refused complex kernels, and
+        # Convolution refuses a complex value there as well
+        self.conv = self.pert_conv = self.kernel_block = None
+        block = 0.0
         if model.kernel is not None:
-            self.Cw = _real(conv_matrix(model._kernel_neg, self.m, self.n, self.h),
-                            "kernel (its convolution matrix)")
+            self.conv = Convolution(model._kernel_neg, self.h)
+            block = block - block_toeplitz(self.conv.table(self.m))
         if model.pert_kernel is not None:
-            self.pert_Cw = _real(
-                conv_matrix(model.pert_kernel, self.m, self.n, self.h),
-                "perturbation kernel (its convolution matrix)")
+            self.pert_conv = Convolution(model.pert_kernel, self.h, "perturbation kernel")
+            block = block + np.repeat(self.eps * self.Vx, n)[:, None] * block_toeplitz(
+                self.pert_conv.table(self.m))
+        if self.conv is not None or self.pert_conv is not None:
+            self.kernel_block = block * self.scale.diagonal()
 
     # -- far-field data ---------------------------------------------------
 
@@ -373,43 +385,39 @@ class _EdgeSystem(WeightedWindow):
         return z[0], z[1], self.window_field(z[2:])
 
     def ansatz(self, a_minus, gamma):
+        """Far fields, the ansatz U on the extended grid and U' on the window."""
         lam, nu_p, nu_m, e_p, e_m = self.far_fields(gamma)
-        up = np.exp(np.real(nu_p) * self.x)
-        um = np.exp(np.real(nu_m) * self.x)
+        up = np.exp(np.real(nu_p) * self.x_ext)
+        um = np.exp(np.real(nu_m) * self.x_ext)
         U = (self.chi_p * up)[:, None] * e_p[None, :]
         U = U + a_minus * (self.chi_m * um)[:, None] * e_m[None, :]
-        dU = (self.dchi * up + self.chi_p * np.real(nu_p) * up)[:, None] * e_p[None, :]
+        win = self.win
+        up, um, chi_p, chi_m = up[win], um[win], self.chi_p[win], self.chi_m[win]
+        dU = (self.dchi * up + chi_p * np.real(nu_p) * up)[:, None] * e_p[None, :]
         dU = dU + a_minus * ((-self.dchi) * um
-                             + self.chi_m * np.real(nu_m) * um)[:, None] * e_m[None, :]
+                             + chi_m * np.real(nu_m) * um)[:, None] * e_m[None, :]
         return lam, nu_p, nu_m, e_p, e_m, U, dU
 
-    def window_conv(self, C, kernel, Ufull, a_minus, nu_p, nu_m, e_p, e_m):
-        """kernel * U: window matrix C plus far tails by partial transforms."""
-        out = (C @ Ufull.reshape(-1)).reshape(self.m, self.n)
-        L = self.grid.L
-        tr = kernel.head_transform(self.x - L, np.real(nu_p))
-        out = out + np.real(
-            np.einsum("mij,j->mi", tr, e_p) * np.exp(np.real(nu_p) * self.x)[:, None])
-        tl = kernel.tail_transform(self.x + L, np.real(nu_m))
-        out = out + a_minus * np.real(
-            np.einsum("mij,j->mi", tl, e_m) * np.exp(np.real(nu_m) * self.x)[:, None])
-        return out
+    def convolve(self, conv, U_ext, a_minus, nu_p, nu_m, e_p, e_m):
+        """conv's kernel * U on the window: extended-grid rows plus far tails."""
+        right, left = self.far_tails(conv.kernel, np.real(nu_p), np.real(nu_m))
+        return conv.apply(U_ext)[self.win] + right @ e_p + a_minus * (left @ e_m)
 
     def residual(self, z):
         a_minus, gamma, w = self.unpack(z)
-        lam, nu_p, nu_m, e_p, e_m, U, dU = self.ansatz(a_minus, gamma)
-        Ufull = U + w / self.Wvec[:, None]
+        lam, nu_p, nu_m, e_p, e_m, U_ext, dU = self.ansatz(a_minus, gamma)
+        U_ext[self.win] += w / self.Wvec[:, None]
+        Ufull = U_ext[self.win]
         Uprime = dU + self.unweighted_derivative(w)
 
         R = Uprime - Ufull @ self.model.zero_shift(lam).T
-        tails = (a_minus, nu_p, nu_m, e_p, e_m)
-        if self.Cw is not None:
-            R = R - self.window_conv(self.Cw, self.model._kernel_neg, Ufull, *tails)
+        far = (a_minus, nu_p, nu_m, e_p, e_m)
+        if self.conv is not None:
+            R = R - self.convolve(self.conv, U_ext, *far)
         if self.model.P is not None:
             pert = Ufull @ self.model.P.T
         else:
-            pert = self.window_conv(self.pert_Cw, self.model.pert_kernel,
-                                    Ufull, *tails)
+            pert = self.convolve(self.pert_conv, U_ext, *far)
         R = R + self.eps * self.Vx[:, None] * pert
         return R.reshape(-1)
 
@@ -417,34 +425,20 @@ class _EdgeSystem(WeightedWindow):
         """Jacobian in (a_-, gamma, active w).
 
         The two leading columns are forward differences.  The w block is
-        analytic: a scipy.sparse band without kernel matrices, a dense
-        array when `Cw` or `pert_Cw` adds its convolution.
+        analytic: a scipy.sparse band without kernels, a dense array when
+        `kernel_block` adds the convolutions.
         """
         gamma = z[1]
-        m, n = self.m, self.n
-        invW = np.repeat(1.0 / self.Wvec, n)
-        scale = sparse.diags(invW)
-
-        # the derivative chain divides by the weight at the output node
-        # (scale on the left), every other term at the input node (scale
-        # on the right)
-        Dx = (sparse.kron(self.D4, np.eye(n))
-              - sparse.diags(np.repeat(self.dwexp, n)))
-        local = -sparse.kron(sparse.identity(m), self.model.zero_shift(gamma * gamma))
+        local = -sparse.kron(sparse.identity(self.m), self.model.zero_shift(gamma * gamma))
         if self.model.P is not None:
             local = local + self.eps * sparse.kron(sparse.diags(self.Vx), self.model.P)
-        JW = scale @ Dx + local @ scale
+        JW = self.chain + local @ self.scale
 
         Jp = fd_columns(self.residual, z, res, 2)
-        if self.Cw is None and self.pert_Cw is None:
+        if self.kernel_block is None:
             return sparse.hstack([Jp, sparse.csc_matrix(JW)[:, self.active_flat]],
                                  format="csc")
-        JW = JW.toarray()
-        if self.Cw is not None:
-            JW -= self.Cw * invW[None, :]
-        if self.pert_Cw is not None:
-            JW += self.eps * (np.repeat(self.Vx, n)[:, None]
-                              * self.pert_Cw) * invW[None, :]
+        JW = JW.toarray() + self.kernel_block
         return np.hstack([Jp, JW[:, self.active_flat]])
 
 
@@ -474,7 +468,7 @@ def edge_eigenvalue(model, eps, grid=_GRID, data=None):
 
     a_minus, gamma, w = sys.unpack(z)
     lam, nu_p, nu_m, e_p, e_m, U, dU = sys.ansatz(a_minus, gamma)
-    Ufull = U + w / sys.Wvec[:, None]
+    Ufull = U[sys.win] + w / sys.Wvec[:, None]
     return EdgeEigenvalue(
         lam=float(gamma * gamma), gamma=float(gamma), a_minus=float(a_minus),
         x=sys.x, U=Ufull, w=w, resonance=resonance,

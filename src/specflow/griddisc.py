@@ -8,15 +8,15 @@ Exponential weights enter as an exact diagonal conjugation with the
 smooth profile exp(w(xi)), w'(xi) -> gamma_[-,+] as xi -> -+infinity.
 One row rule builds every matrix: `_fill` subtracts each node's
 convolution row (`_conv_row`) and shifts, and the constant symbol, the
-xi-dependent operator, its adjoint and the bare convolution matrix
-(`conv_matrix`) only supply their row data.  The matrix is complex
-exactly when some row datum has an imaginary part.
+xi-dependent operator and its adjoint only supply their row data.  The
+matrix is complex exactly when some row datum has an imaginary part.
 
-The same discretization kit serves the two Newton applications: the
-trapezoid-plus-kink convolution matrix (its corrections read the jumps
-of K and K' at 0 from `KernelSpec.jump`), the fourth-order difference
-matrix, the weighted window of a decaying correction, and one damped
-Newton solver.
+The same discretization kit serves the two Newton applications: one
+trapezoid-plus-kink convolution (`Convolution`; its corrections read the
+jumps of K and K' at 0 from `KernelSpec.jump`) whose window rows on an
+extended grid, plus exact tails beyond it, give K * U, the fourth-order
+difference matrix, the weighted window of a decaying correction, and
+one damped Newton solver.
 
 Kernel and cokernel dimensions are then estimated from the singular
 value spectrum: truncation perturbs exact zero singular values to
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.linalg import (LinAlgWarning, cho_factor, cho_solve, eig_banded,
                           lu_factor, lu_solve)
@@ -47,15 +48,15 @@ from scipy.sparse.linalg import norm as sparse_norm, splu
 from .charmatrix import adjoint_symbol
 from .errors import (ConfigurationError, GridTooCoarse, NewtonDiverged,
                      NumericalError, TailUnresolved)
-from .kernels import trapezoid_weights
+from .kernels import ExpPolyKernel, _real, trapezoid_weights
 from .symbols import OperatorFamily, Symbol
 
 __all__ = [
     "Grid", "GridOperator", "NullityResult", "assemble", "nullity",
     "index_estimate", "solve_inhomogeneous", "weight_exponent",
-    "trapezoid_weights", "fd4_matrix", "conv_matrix",
-    "WeightedWindow", "newton_solve", "fd_columns", "ExpConvolution",
-    "Annihilated", "block_sparse",
+    "trapezoid_weights", "fd4_matrix", "WeightedWindow", "newton_solve",
+    "fd_columns", "Convolution", "Annihilated", "block_sparse",
+    "block_toeplitz",
 ]
 
 _TOL_RATIO = 1e3            # singular-value gap that makes a spectral cut clear
@@ -78,6 +79,8 @@ _RIDGE = 1e-5
 _RIDGE_SOLVES = 5
 # rows per block of an exponential kernel's O(N) convolution sweep
 _SWEEP_BLOCK = 64
+# the extended grid of a Newton application reaches this far past its window
+_FAR_PAD = 12.0
 
 
 @dataclass(frozen=True)
@@ -191,22 +194,6 @@ def _conv_row(i, vals, edge, w_quad, h):
     return blk.transpose(1, 0, 2).reshape(n, m * n)
 
 
-def conv_matrix(kernel, m, n, h):
-    """Trapezoid convolution matrix on m nodes of spacing h.
-
-    Block row i is `_conv_row`, filled by `_fill` from `_typed` row data,
-    so the matrix is float64 unless some kernel datum is complex.  The
-    sign flip 0 - M leaves no negative zeros.
-    """
-    table, edge, _, cplx = _typed(kernel.value(h * np.arange(-(m - 1), m)),
-                                  _edge_data(kernel), [])
-
-    def row(i):
-        return table[i:i + m][::-1], edge, [], cplx
-    M = _fill(np.zeros((m * n, m * n)), h * np.arange(m), h, row)
-    return np.subtract(0.0, M, out=M)
-
-
 def block_sparse(rows, cols, blocks, shape):
     """CSR matrix with the n x n block (rows[k], cols[k]) = blocks[k]; repeats add."""
     blocks = np.asarray(blocks)
@@ -259,37 +246,46 @@ class _ExpPolySweep:
         return y.reshape(-1, x.shape[1])[:m]
 
 
-class ExpConvolution:
-    """Interior rows of `conv_matrix` for a real ExpPolyKernel, in O(N).
+def block_toeplitz(T):
+    """Dense (m n, m n) block Toeplitz matrix of a table T: block (i, j) = T[m - 1 + i - j]."""
+    m = (len(T) + 1) // 2
+    i = np.arange(m)
+    return T[m - 1 + i[:, None] - i[None, :]].transpose(0, 2, 1, 3).reshape(m * T.shape[-1], -1)
 
-    The row data are `_conv_row`'s: the kernel at x_i - x_j times the
-    trapezoid weight of node j, plus the kink terms at |i - j| <= 1.  A
-    term C (d h)^p e^{-b d h} on the offsets d >= 1 (side +1; d <= -1 for
-    side -1) has a rational generating function: it is an ODE in
-    disguise, so its part of every row is one sweep (`apply`,
-    `_ExpPolySweep`).
 
-    The same fact in matrix form: with r = e^{-b h}, the unit-bidiagonal
-    factor I - r E^{-+1} (E^{-1} takes node i - 1 to row i) applied p + 1
-    times cancels such a term in every row away from the diagonal.  The
-    product Q of these factors over the distinct (side, rate) pairs, at
-    each pair's highest power, turns the block Toeplitz matrix of the
-    rows (`table`) into a band (`annihilate`).
+class Convolution:
+    """The trapezoid-plus-kink rows of a real kernel on a grid of spacing h.
+
+    Row i of F on m nodes is sum_j K(x_i - x_j) w_j F_j (trapezoid
+    weights w) plus `_conv_row`'s kink terms at |i - j| <= 1, on the end
+    rows too: the applications take only rows well inside their extended
+    grid, and the corner rule is the grid oracle's zero extension.
+    `table` gives the rows by offset; `apply` takes them as the block
+    Toeplitz product of the kernel values.  An ExpPolyKernel (`rational`)
+    is an ODE in disguise: each term C (d h)^p e^{-b d h} on the offsets
+    d >= 1 (side +1; d <= -1 for side -1) is one O(N) sweep, and with
+    r = e^{-b h} the unit-bidiagonal factor I - r E^{-+1} (E^{-1} takes
+    node i - 1 to row i) applied p + 1 times cancels it in every row away
+    from the diagonal.  The product Q of these factors over the distinct
+    (side, rate) pairs, at each pair's highest power, turns the block
+    Toeplitz matrix of the rows into a band (`annihilate`); no other
+    kernel has one.  A complex value is refused, naming the kernel `name`.
     """
 
-    def __init__(self, kernel, h):
+    def __init__(self, kernel, h, name="kernel"):
         self.h = h
-        value = kernel.value(np.zeros(1))[0]
-        edge = _edge_data(kernel)
-        if any(np.any(np.imag(v)) for v in [value, *edge, *(C for *_, C in kernel.terms)]):
-            raise ConfigurationError("an O(N) convolution needs a real kernel")
         self.kernel = kernel
-        self.at_zero = np.real(value)
-        _, _, j0, j1 = (np.real(v) for v in edge)
+        self.name = name
+        self.at_zero = _real(kernel.value(np.zeros(1))[0], name)
+        _, _, j0, j1 = (_real(v, name) for v in _edge_data(kernel))
         cc = h * h / 12.0
-        # the kink terms of an interior row at offsets d = i - j = 0, 1, -1
+        # the kink terms of a row at offsets d = i - j = 0, 1, -1
         self.kink = {0: cc * j1, 1: -(cc * j0 * (-0.5 / h)), -1: -(cc * j0 * (0.5 / h))}
-        self.sweeps = [(side, _ExpPolySweep(b, p, h), np.real(C))
+        self.rational = isinstance(kernel, ExpPolyKernel)
+        self.sweeps = []
+        if not self.rational:
+            return
+        self.sweeps = [(side, _ExpPolySweep(b, p, h), _real(C, name))
                        for side, b, p, C in kernel.terms]
         powers = {}
         for side, b, p, _ in kernel.terms:
@@ -304,14 +300,21 @@ class ExpConvolution:
             else:
                 self.upper = np.convolve(self.upper, factor)
 
-    def apply(self, F):
-        """The interior-row rule applied to F, shape (m, n), on m grid nodes.
+    def values(self, m):
+        """The kernel at the offsets d h, |d| < m, shape (2 m - 1, n, n)."""
+        return _real(self.kernel.value(self.h * np.arange(-(m - 1), m)), self.name)
 
-        Rows 1 .. m - 2 equal `conv_matrix` @ F; the two end rows take
-        the interior rule, not `_conv_row`'s corner rule.
-        """
-        x = trapezoid_weights(len(F), self.h)[:, None] * F
-        y = x @ self.at_zero.T + F @ self.kink[0].T
+    def apply(self, F):
+        """The rows applied to F, shape (m, n), on m grid nodes."""
+        m = len(F)
+        x = trapezoid_weights(m, self.h)[:, None] * F
+        if self.rational:
+            y = x @ self.at_zero.T
+        else:
+            # view[a, b, i, j] = K(x_i - x_j)[a, b], with no (m n)^2 copy
+            rev = np.ascontiguousarray(self.values(m)[::-1].transpose(1, 2, 0))
+            y = np.einsum("abij,jb->ia", sliding_window_view(rev, m, axis=-1)[:, :, ::-1], x)
+        y += F @ self.kink[0].T
         y[1:] += F[:-1] @ self.kink[1].T
         y[:-1] += F[1:] @ self.kink[-1].T
         for side, sweep, C in self.sweeps:
@@ -324,7 +327,7 @@ class ExpConvolution:
         These are the rows of a grid whose columns all carry the full
         trapezoid weight h (the window rows and columns of a larger grid).
         """
-        T = self.h * np.real(self.kernel.value(self.h * np.arange(-(m - 1), m)))
+        T = self.h * self.values(m)
         for d, K in self.kink.items():
             T[m - 1 + d] += K
         return T
@@ -776,6 +779,10 @@ class WeightedWindow:
     encodes the decay of W and removes the boundary-layer null
     directions of the truncated operator from the unknown space.  The
     remaining `active` nodes carry the unknowns, node-major.
+
+    The extended grid `x_ext` (window nodes `win`) reaches _FAR_PAD past
+    each end and carries a far-field ansatz into a convolution; beyond it
+    the far fields enter exactly (`far_tails`).
     """
 
     def __init__(self, grid, n, eta):
@@ -791,6 +798,9 @@ class WeightedWindow:
         self.active = np.abs(self.x) <= grid.L - pad
         self.active_flat = np.repeat(self.active, n)
         self.D4 = fd4_matrix(self.m, self.h)
+        ext = int(round(_FAR_PAD / self.h))
+        self.win = slice(ext, ext + self.m)
+        self.x_ext = -grid.L + self.h * np.arange(-ext, self.m + ext)
 
     def window_field(self, values):
         """V on all nodes, shape (m, n), from the active unknowns."""
@@ -801,6 +811,20 @@ class WeightedWindow:
     def unweighted_derivative(self, V):
         """x-derivative of W = V / Wvec."""
         return (self.D4 @ V - self.dwexp[:, None] * V) / self.Wvec[:, None]
+
+    def far_tails(self, kernel, nu_plus, nu_minus):
+        """kernel * e^{nu x} from beyond the extended grid, on the window nodes.
+
+        Returns the real parts of (right, left), each (m, n, n):
+        right[i] = int_{y > x_R} K(x_i - y) e^{nu_+ y} dy, which is
+        e^{nu_+ x_i} times the head transform at x_i - x_R, and left[i]
+        the same over y < x_L with nu_-, x_L and x_R the ends of `x_ext`.
+        Constant far states are nu = 0.
+        """
+        right = kernel.head_transform(self.x - self.x_ext[-1], nu_plus)
+        left = kernel.tail_transform(self.x - self.x_ext[0], nu_minus)
+        return (np.real(right * np.exp(nu_plus * self.x)[:, None, None]),
+                np.real(left * np.exp(nu_minus * self.x)[:, None, None]))
 
 
 def fd_columns(residual, z, base, count):
@@ -823,7 +847,7 @@ class Annihilated:
 
     `colnorm` are the column norms of J itself.  `_ls_step` solves with
     Q J and Q Q^T, which are banded when J is banded plus an exponential
-    kernel's block Toeplitz part that Q annihilates (`ExpConvolution`).
+    kernel's block Toeplitz part that Q annihilates (`Convolution`).
     """
     QJ: sparse.spmatrix
     Q: sparse.spmatrix

@@ -154,7 +154,8 @@ class KernelSpec:
     # -- generic combinators ---------------------------------------------
 
     def scaled(self, c):
-        return SumKernel([(c, self)])
+        """Kernel c K(zeta), in the same family."""
+        return self.sandwich(c * np.eye(self.n), np.eye(self.n))
 
     def head_transform(self, t, nu):
         """integral_{s <= t} K(s) exp(-nu s) ds."""

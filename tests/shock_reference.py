@@ -1,14 +1,31 @@
 """Dense reference assembly of the shock layer's K' rows and Jacobian.
 
-The library applies an ExpPolyKernel's K' rows in O(N) and holds the
-Jacobian annihilated (`griddisc.ExpConvolution`, `griddisc.Annihilated`).
+The library applies the K' rows through `griddisc.Convolution` (a sweep
+for an ExpPolyKernel, a block Toeplitz product otherwise) and holds an
+exponential kernel's Jacobian annihilated (`griddisc.Annihilated`).
 These are the dense forms they replace, built from the window rows of
-`griddisc.conv_matrix` on the layer's extended grid.
+`conv_matrix` on the layer's extended grid.
 """
 
 import numpy as np
 
-from specflow.griddisc import conv_matrix, fd_columns
+from specflow.griddisc import _edge_data, _fill, _typed, fd_columns
+
+
+def conv_matrix(kernel, m, n, h):
+    """Trapezoid convolution matrix on m nodes of spacing h.
+
+    Block row i is the grid oracle's `_conv_row`, filled by `_fill` from
+    `_typed` row data, so the matrix is float64 unless some kernel datum
+    is complex.  The sign flip 0 - M leaves no negative zeros.
+    """
+    table, edge, _, cplx = _typed(kernel.value(h * np.arange(-(m - 1), m)),
+                                  _edge_data(kernel), [])
+
+    def row(i):
+        return table[i:i + m][::-1], edge, [], cplx
+    M = _fill(np.zeros((m * n, m * n)), h * np.arange(m), h, row)
+    return np.subtract(0.0, M, out=M)
 
 
 def dense_kprime_rows(sys):

@@ -333,11 +333,18 @@ def _exp_poly_model():
                       source=gaussian_source([1.0]), G2=np.array([[[1.0]]]), eta=0.6)
 
 
+def _gaussian_model():
+    return ShockModel(n=1, kernel=gaussian_kernel(0.5, [[1.0]]), dF=[[1.0]],
+                      dG=[[1.0]], source=gaussian_source([1.0]),
+                      G2=np.array([[[1.0]]]), eta=0.9)
+
+
 STRUCTURED_CASES = {
     "exponential": (scalar_model, None),
     "one_sided_zero_speed": (zero_speed_model, 0),
     "matrix_n2": (_matrix_kernel_model, None),
     "exp_poly_power1": (_exp_poly_model, None),
+    "gaussian": (_gaussian_model, None),
 }
 
 
@@ -356,21 +363,27 @@ def test_structured_kprime_and_jacobian_match_dense_assembly(case, rng):
     z = 1e-3 * rng.normal(size=sys.n_params + int(sys.active_flat.sum()))
     res = sys.residual(z)
     J = sys.jacobian(z, res)
-    assert isinstance(J, Annihilated)
     J_ref = dense_shock_jacobian(sys, z, res)
+    # an exponential kernel's Jacobian is held annihilated, a Gaussian's
+    # is the dense block Toeplitz of the same table
+    assert isinstance(J, Annihilated) == (case != "gaussian")
+    if case == "gaussian":
+        assert np.abs(J - J_ref).max() <= 1e-14 * np.abs(J_ref).max()
+        return
     QJ_ref = J.Q.toarray() @ J_ref
     assert np.abs(J.QJ.toarray() - QJ_ref).max() <= 1e-14 * np.abs(QJ_ref).max()
     assert np.abs(J.colnorm / np.linalg.norm(J_ref, axis=0) - 1).max() <= 1e-14
 
 
 def test_exponential_shocks_run_no_dense_solve(monkeypatch):
-    # the shipped configs take the O(N) path: neither the dense K' rows
-    # nor the Cholesky factor of the normal equations is ever formed
+    # the shipped configs take the O(N) path: neither the dense block
+    # Toeplitz Jacobian nor the Cholesky factor of the normal equations is
+    # ever formed
     def refuse(*args, **kwargs):
         raise AssertionError("dense path taken")
 
     monkeypatch.setattr(griddisc, "cho_factor", refuse)
-    monkeypatch.setattr(conslaw, "conv_matrix", refuse)
+    monkeypatch.setattr(conslaw, "block_toeplitz", refuse)
     configs = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
     model = configio.shock_model_from_json(
         configio.load_config(configs / "shock_scalar.json"))
@@ -380,3 +393,19 @@ def test_exponential_shocks_run_no_dense_solve(monkeypatch):
         configio.load_config(configs / "shock_zero_speed.json"))
     a0, b0, M, _ = zero_speed_selection(model, 1e-3)
     assert (a0 - b0) / 1e-3 == pytest.approx(np.sqrt(np.pi) / 2, rel=0.03)
+
+
+@pytest.mark.parametrize("kernel", [
+    {"family": "gaussian", "sigma": 0.5, "M": [[1.0]]},
+    {"family": "sum", "parts": [{"family": "exponential", "a": 2.0, "M": [[1.0]]}]},
+], ids=["gaussian", "sum"])
+def test_dense_shock_path_matches_leading_order(kernel):
+    # kernels without an annihilator: the block Toeplitz rows, a dense
+    # Jacobian and the Cholesky step, on shock_scalar.json's model
+    configs = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
+    spec = configio.load_config(configs / "shock_scalar.json")
+    spec["kernel"] = kernel
+    model = configio.shock_model_from_json(spec)
+    sol = shock_profile(model, np.zeros(1), 1e-3)
+    assert sol.iterations == 3
+    assert sol.jump[0] / 1e-3 == pytest.approx(jump_leading_order(model)[0], rel=0.01)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.integrate import quad
 
 import specflow.griddisc as griddisc
 from specflow.edgebif import (EdgeModel, _EdgeSystem, diffusive_check,
@@ -277,6 +278,53 @@ def test_no_kernel_at_doubled_eigenvalue():
 
     assert nullity(assemble(op_at(r.lam), g), tol_ratio=100.0).dim == 1
     assert nullity(assemble(op_at(2 * r.lam), g), tol_ratio=100.0).dim == 0
+
+
+@pytest.mark.parametrize("make", [scalar_diffusive_model, kernel_perturbation_model],
+                         ids=["kernel", "perturbation_kernel"])
+def test_edge_convolution_matches_quadrature(make):
+    # the edge's one convolution per kernel (extended-grid rows plus the
+    # exact far-field tails) on the ansatz, against adaptive quadrature
+    model = make()
+    sys = _EdgeSystem(model, Grid(20.0, 0.05), 0.02, edge_vectors(model))
+    conv = sys.conv or sys.pert_conv
+    a_minus = 0.7
+    _, nu_p, nu_m, e_p, e_m, U_ext, _ = sys.ansatz(a_minus, -0.1)
+    out = sys.convolve(conv, U_ext, a_minus, nu_p, nu_m, e_p, e_m)
+
+    def ansatz_at(y):
+        # the ramp is -+1 for |y| >= 1
+        rho = smooth_ramp(np.clip([y], -2.0, 2.0))[0][0]
+        U = np.zeros(model.n)
+        if rho > -1.0:
+            U += 0.5 * (1.0 + rho) * np.exp(np.real(nu_p) * y) * e_p
+        if rho < 1.0:
+            U += a_minus * 0.5 * (1.0 - rho) * np.exp(np.real(nu_m) * y) * e_m
+        return U
+
+    def integrand(y, x, c):
+        return float(np.real(conv.kernel.value(np.array([x - y]))[0][c]) @ ansatz_at(y))
+
+    for i in np.searchsorted(sys.x, [-15.0, -3.0, -0.5, 0.0, 0.7, 2.5, 15.0]):
+        x = sys.x[i]
+        for c in range(model.n):
+            ref = (quad(integrand, -np.inf, x, args=(x, c), epsabs=1e-12, limit=200)[0]
+                   + quad(integrand, x, np.inf, args=(x, c), epsabs=1e-12, limit=200)[0])
+            assert abs(out[i, c] - ref) < 1e-6
+    # the tails alone at the window ends (the left one of the scalar model
+    # is about 2e-8): exact integrals beyond the extended grid, of
+    # e^{nu y} e_+ on the right and e^{nu y} e_- on the left
+    right, left = sys.far_tails(conv.kernel, np.real(nu_p), np.real(nu_m))
+    for tail, i, lo, hi, nu, e in ((right, -1, sys.x_ext[-1], np.inf, nu_p, e_p),
+                                   (left, 0, -np.inf, sys.x_ext[0], nu_m, e_m)):
+        x = sys.x[i]
+        for c in range(model.n):
+            def far(y):
+                return float(np.real(conv.kernel.value(np.array([x - y]))[0][c] @ e)
+                             * np.exp(np.real(nu) * y))
+            ref = quad(far, lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+            # head and tail transforms are differences of O(1) integrals
+            assert abs((tail[i] @ e)[c] - ref) <= 1e-14
 
 
 @pytest.mark.parametrize("make, form", [(schrodinger_model, "sparse"),

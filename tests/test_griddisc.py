@@ -11,12 +11,11 @@ from specflow import griddisc
 from specflow.errors import (ConfigurationError, GridTooCoarse, NewtonDiverged,
                              TailUnresolved)
 from specflow.flow import weighted_index
-from specflow.griddisc import (Annihilated, ExpConvolution, Grid,
+from specflow.griddisc import (Annihilated, Convolution, Grid,
                                _classify_spectrum, _jordan_wielandt_band,
                                _ls_step, assemble, assemble_adjoint,
-                               conv_matrix, fd4_matrix, fd_columns,
-                               index_estimate, newton_solve, nullity,
-                               solve_inhomogeneous)
+                               fd4_matrix, fd_columns, index_estimate,
+                               newton_solve, nullity, solve_inhomogeneous)
 from specflow.kernels import (SampledKernel, exponential_kernel, gaussian_kernel,
                               one_sided_exponential_kernel, sample_kernel)
 from specflow.symbols import OperatorFamily, ShiftTerm, Symbol, weight_shift
@@ -341,12 +340,14 @@ def test_fd4_matrix_exact_on_quartics(degree):
 
 
 @pytest.mark.parametrize("kernel", [exponential_kernel(2.0, [[1.0]]),
-                                    one_sided_exponential_kernel(1.5, [[1.0]])])
+                                    one_sided_exponential_kernel(1.5, [[1.0]]),
+                                    gaussian_kernel(0.5, [[1.0]])])
 def test_conv_matrix_interior_rows_match_quadrature(kernel):
+    # the rows of Convolution.apply: a sweep for the exponential kernels,
+    # the block Toeplitz product of the table for the Gaussian
     g = Grid(L=10.0, h=0.05)
     x = g.nodes
-    C = conv_matrix(kernel, g.size, 1, g.h)
-    approx = (C @ np.exp(-x ** 2)).real
+    approx = Convolution(kernel, g.h).apply(np.exp(-x ** 2)[:, None])[:, 0]
 
     def exact(xi):
         def f(y):
@@ -357,24 +358,14 @@ def test_conv_matrix_interior_rows_match_quadrature(kernel):
         assert approx[i] == pytest.approx(exact(x[i]), abs=1e-6)
 
 
-@pytest.mark.parametrize("M, dtype", [([[1.0, 0.3], [-0.2, 0.5]], np.float64),
-                                      ([[1.0, 0.3j], [-0.2, 0.5]], np.complex128)],
-                         ids=["real", "complex"])
-def test_conv_matrix_is_the_fill_of_conv_rows(M, dtype):
-    # the type comes from the entries, and block row i is _conv_row bit for bit
-    kernel = exponential_kernel(2.0, M)
-    m, h = 41, 0.1
-    C = conv_matrix(kernel, m, 2, h)
-    assert C.dtype == dtype
-    table = kernel.value(h * np.arange(-(m - 1), m))
-    edge = griddisc._edge_data(kernel)
-    if dtype is np.float64:
-        table, edge = table.real, [e.real for e in edge]
-    w = griddisc.trapezoid_weights(m, h)
-    rows = np.vstack([griddisc._conv_row(i, table[i:i + m][::-1], edge, w, h)
-                      for i in range(m)])
-    assert np.array_equal(C, rows)
-    assert not np.any(np.signbit(C.real) & (C.real == 0))
+def test_convolution_refuses_a_complex_kernel():
+    # a kernel complex only away from 0 is refused once its table is taken
+    kernel = gaussian_kernel(0.5, [[1.0]]).derivative().scaled(1.0 + 0.5j)
+    conv = Convolution(kernel, 0.05, name="perturbation kernel")
+    with pytest.raises(ConfigurationError, match="perturbation kernel"):
+        conv.table(41)
+    with pytest.raises(ConfigurationError, match="kernel"):
+        Convolution(exponential_kernel(2.0, [[1.0 + 0.7j]]), 0.05)
 
 
 def _circle_line(z):
@@ -436,7 +427,7 @@ def _sawtooth_system(nb=60):
 
 def _annihilated(J):
     """J as an `Annihilated` Q J, Q the annihilator of a two-sided exponential."""
-    Q = ExpConvolution(exponential_kernel(2.0, [[1.0]]), 0.05).annihilator(J.shape[0])
+    Q = Convolution(exponential_kernel(2.0, [[1.0]]), 0.05).annihilator(J.shape[0])
     return Annihilated(sparse.csr_matrix(Q @ J), Q, np.linalg.norm(J, axis=0))
 
 

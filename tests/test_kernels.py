@@ -243,6 +243,8 @@ def test_scaled_and_weighted_sum(name):
     kernels = _algebra_kernels()
     K, other = kernels[name], kernels["exp_poly"]
     c, d = -1.7, 0.4
+    # scaling keeps the family
+    assert type(K.scaled(c)) is type(K)
     _assert_close(_evaluations(K.scaled(c)), [c * e for e in _evaluations(K)])
     assert K.scaled(c).l1_bound() == pytest.approx(abs(c) * K.l1_bound(), rel=1e-15)
     assert K.scaled(c).moment_bound() == pytest.approx(abs(c) * K.moment_bound(),
