@@ -229,7 +229,7 @@ def _cmd_shock(args, outdir):
     cfg = configio.load_config(args.config)
     model = configio.shock_model_from_json(cfg)
     eps = (_parse_floats("--eps", args.eps, 1)[0] if args.eps
-           else float(cfg.get("eps", 1e-3)))
+           else _parse_floats("eps", [cfg.get("eps", 1e-3)], 1)[0])
     b = (np.array(_parse_floats("--b", args.b.split(","), model.n))
          if args.b else np.zeros(model.n))
     speeds, _ = characteristic_speeds(model)

@@ -383,14 +383,19 @@ class _ShockSystem(WeightedWindow):
                                                   colnorm[self.active_flat]]))
 
 
+def _check_eps(model, eps):
+    """Refuse |eps| beyond the model's eps_max, and a NaN eps."""
+    if not abs(eps) <= model.eps_max:
+        raise ConfigurationError(f"|eps| exceeds eps_max = {model.eps_max:g}")
+
+
 def shock_profile(model, b, eps, grid=_GRID):
     """Solve the stationary layer equation for given ingoing data b.
 
     Newton iteration on (a, V); the b states are prescribed.  Requires
     every characteristic speed nonzero and |eps| <= the model's eps_max.
     """
-    if abs(eps) > model.eps_max:
-        raise ConfigurationError(f"|eps| exceeds eps_max = {model.eps_max:g}")
+    _check_eps(model, eps)
     if len(zero_speeds(characteristic_speeds(model)[0])):
         raise ConfigurationError(
             "zero characteristic speed: use zero_speed_selection")
@@ -444,8 +449,9 @@ def zero_speed_selection(model, eps):
     the selection constant M.  The other ingoing coefficients are zero;
     the solver treats the zero-speed one as an additional unknown and
     returns
-    (a_j0, b_j0, M, solution).
+    (a_j0, b_j0, M, solution).  |eps| must be at most the model's eps_max.
     """
+    _check_eps(model, eps)
     Mconst, j0, pairing = zero_speed_constant(model)
     speeds, E = characteristic_speeds(model)
     e0 = E[:, j0]

@@ -454,7 +454,11 @@ def edge_eigenvalue(model, eps, grid=_GRID, data=None):
     model's EdgeData when the caller already holds it.
     """
     data = data or edge_vectors(model)
-    M = edge_constant(model, data)
+    return _edge_eigenvalue(model, eps, grid, data, edge_constant(model, data))
+
+
+def _edge_eigenvalue(model, eps, grid, data, M):
+    """`edge_eigenvalue` given the model's EdgeData and edge constant M."""
     resonance = (M * eps) < 0
     sys = _EdgeSystem(model, grid, eps, data)
     z = np.concatenate([[1.0, -M * eps], np.zeros(int(sys.active_flat.sum()))])
@@ -503,7 +507,7 @@ def edge_scaling(model, eps_list):
     M = edge_constant(model, data)
     rows = []
     for eps in eps_list:
-        r = edge_eigenvalue(model, eps, data=data)
+        r = _edge_eigenvalue(model, eps, _GRID, data, M)
         rows.append((float(eps), r.lam, r.lam / eps ** 2))
     eps_arr = np.array([r[0] for r in rows])
     ratio = np.array([r[2] for r in rows])

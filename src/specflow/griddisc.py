@@ -6,10 +6,12 @@ differences (one-sided at the boundary rows), trapezoid quadrature for
 the convolution, and linear interpolation for off-grid shift targets.
 Exponential weights enter as an exact diagonal conjugation with the
 smooth profile exp(w(xi)), w'(xi) -> gamma_[-,+] as xi -> -+infinity.
-One row rule builds every matrix: `_fill` subtracts each node's
-convolution row (`_conv_row`) and shifts, and the constant symbol, the
-xi-dependent operator and its adjoint only supply their row data.  The
-matrix is complex exactly when some row datum has an imaginary part.
+One array build makes every matrix (`_assembled`): the derivative
+blocks minus the trapezoid-plus-kink convolution blocks (`_conv_rows`)
+and the shifts.  The constant symbol, the xi-dependent operator and its
+adjoint only supply the kernel values of all rows at once, their edge
+data and their shifts.  The matrix is complex exactly when some datum
+has an imaginary part.
 
 The same discretization kit serves the two Newton applications: one
 trapezoid-plus-kink convolution (`Convolution`; its corrections read the
@@ -130,17 +132,6 @@ class GridOperator:
         return self.matrix.shape[0] // self.n
 
 
-def _as_symbol_map(operator):
-    """Normalize operator argument to (eval_fn, constant_symbol_or_None)."""
-    if isinstance(operator, Symbol):
-        return (lambda xi: operator), operator
-    if isinstance(operator, OperatorFamily):
-        return operator.at, None
-    if callable(operator):
-        return operator, None
-    raise TypeError("operator must be a Symbol, OperatorFamily or callable")
-
-
 def fd4_matrix(m, h):
     """Fourth-order first-derivative matrix with one-sided closures (CSR).
 
@@ -168,30 +159,46 @@ def _edge_data(kernel):
             kernel.jump(), kernel.derivative().jump())
 
 
-def _conv_row(i, vals, edge, w_quad, h):
-    """Block row i of the trapezoid convolution matrix, shape (n, m n).
+def _kink(j0, j1, h):
+    """Euler-Maclaurin kink terms of a trapezoid row, by offset d = i - j.
 
-    `vals[j]` is the kernel at xi_i - xi_j and `edge` its `_edge_data`;
-    unknowns are node-major with n components.  The kernel kink at
-    zeta = 0 is Euler-Maclaurin corrected: the true integral is the
-    trapezoid sum plus (h^2/12) times the jump of the integrand
-    derivative, which couples to U(xi_i) and, by centred differences, to
-    U'(xi_i).  On the corner rows the kink sits on the window edge: the
-    diagonal takes the one-sided kernel branch and no jump correction.
+    j0 and j1 are the jumps of K and K' at 0 (`_edge_data`).  The true
+    integral is the trapezoid sum plus (h^2/12) times the jump of the
+    integrand derivative, which couples to U(xi_i) and, by centred
+    differences, to U'(xi_i): the terms at d = 0, 1, -1.
     """
-    k_minus, k_plus, j0, j1 = edge
-    m, n = vals.shape[:2]
-    blk = vals * w_quad[:, None, None]
     cc = h * h / 12.0
-    if i == 0:
-        blk[0] = k_minus * w_quad[0]
-    elif i == m - 1:
-        blk[-1] = k_plus * w_quad[-1]
-    else:
-        blk[i] += cc * j1
-        blk[i - 1] -= cc * j0 * (-0.5 / h)
-        blk[i + 1] -= cc * j0 * (0.5 / h)
-    return blk.transpose(1, 0, 2).reshape(n, m * n)
+    return {0: cc * j1, 1: -(cc * j0 * (-0.5 / h)), -1: -(cc * j0 * (0.5 / h))}
+
+
+def _conv_rows(vals, edge, h):
+    """Trapezoid-plus-kink convolution blocks C[i, j] of m nodes, (m, m, n, n).
+
+    `vals[i, j]` is row i's kernel at xi_i - xi_j and `edge` the rows'
+    `_edge_data`, each (n, n) or one per row (m, n, n).  Interior rows
+    take the `_kink` band.  On the corner rows the kink sits on the
+    window edge: the diagonal takes the one-sided kernel branch and no
+    jump correction.
+    """
+    m, _, n, _ = vals.shape
+    w = trapezoid_weights(m, h)
+    C = vals * w[:, None, None]
+    k_minus, k_plus, j0, j1 = (np.broadcast_to(e, (m, n, n)) for e in edge)
+    i = np.arange(1, m - 1)
+    for d, K in _kink(j0[i], j1[i], h).items():
+        C[i, i - d] += K
+    C[0, 0] = k_minus[0] * w[0]
+    C[-1, -1] = k_plus[-1] * w[-1]
+    return C
+
+
+def _toeplitz_view(T):
+    """view[i, j] = T[m - 1 + i - j], (m, m, n, n), of a table on the offsets |d| < m.
+
+    A strided view of T: no (m n)^2 copy.
+    """
+    m = (len(T) + 1) // 2
+    return sliding_window_view(T, m, axis=0)[..., ::-1].transpose(0, 3, 1, 2)
 
 
 def block_sparse(rows, cols, blocks, shape):
@@ -248,16 +255,15 @@ class _ExpPolySweep:
 
 def block_toeplitz(T):
     """Dense (m n, m n) block Toeplitz matrix of a table T: block (i, j) = T[m - 1 + i - j]."""
-    m = (len(T) + 1) // 2
-    i = np.arange(m)
-    return T[m - 1 + i[:, None] - i[None, :]].transpose(0, 2, 1, 3).reshape(m * T.shape[-1], -1)
+    view = _toeplitz_view(T)
+    return view.transpose(0, 2, 1, 3).reshape(len(view) * T.shape[-1], -1)
 
 
 class Convolution:
     """The trapezoid-plus-kink rows of a real kernel on a grid of spacing h.
 
     Row i of F on m nodes is sum_j K(x_i - x_j) w_j F_j (trapezoid
-    weights w) plus `_conv_row`'s kink terms at |i - j| <= 1, on the end
+    weights w) plus the `_kink` terms at |i - j| <= 1, on the end
     rows too: the applications take only rows well inside their extended
     grid, and the corner rule is the grid oracle's zero extension.
     `table` gives the rows by offset; `apply` takes them as the block
@@ -278,9 +284,7 @@ class Convolution:
         self.name = name
         self.at_zero = _real(kernel.value(np.zeros(1))[0], name)
         _, _, j0, j1 = (_real(v, name) for v in _edge_data(kernel))
-        cc = h * h / 12.0
-        # the kink terms of a row at offsets d = i - j = 0, 1, -1
-        self.kink = {0: cc * j1, 1: -(cc * j0 * (-0.5 / h)), -1: -(cc * j0 * (0.5 / h))}
+        self.kink = _kink(j0, j1, h)
         self.rational = isinstance(kernel, ExpPolyKernel)
         self.sweeps = []
         if not self.rational:
@@ -414,43 +418,37 @@ def _check_resolution(symbol, grid):
                 f"kernel mass beyond |xi| = L is {tail / total:.2e} of the total")
 
 
-def _fill(M, nodes, h, row):
-    """M minus every node's convolution row and shifts.
+def _assembled(grid, n, vals, edge, shifts, weights):
+    """GridOperator of D_W M D_W^{-1}: M is the derivative blocks minus the
+    convolution blocks (`_conv_rows` of vals and edge, or none when vals
+    is None) and the shifts.
 
-    `row(i)` returns `_typed` data: (kernel values at xi_i - xi_j or None,
-    `_edge_data`, [(offset, matrix), ...], complex).  A shift at offset 0
-    lands on the diagonal; any other target xi_i - offset is linearly
-    interpolated.  A real M is filled in place until a complex row comes,
-    and from that row on M is a complex copy.
+    `shifts` are (xi, A) terms, xi a scalar or one per row (m,), A
+    (n, n) or one per row (m, n, n); a row without the term holds xi = 0
+    and A = 0.  A shift at offset 0 lands on the diagonal; any other
+    target xi_i - offset is linearly interpolated (`_interp_row`).  The
+    matrix is complex exactly when some datum has a nonzero imaginary
+    part; otherwise every datum enters by its real part.
     """
-    m = len(nodes)
-    n = M.shape[0] // m
-    w_quad = trapezoid_weights(m, h)
-    for i in range(m):
-        vals, edge, shifts, cplx = row(i)
-        if cplx and M.dtype == float:
-            M = M.astype(complex)
-        r = slice(i * n, (i + 1) * n)
-        if vals is not None:
-            M[r] -= _conv_row(i, vals, edge, w_quad, h)
-        for xi, A in shifts:
-            if xi == 0.0:
-                M[r, r] -= A
-            else:
-                for col, wgt in _interp_row(nodes[i] - xi, nodes, h):
-                    M[r, col * n:(col + 1) * n] -= wgt * A
-    return M
-
-
-def _assembled(grid, n, row, weights):
-    """GridOperator of D_W M D_W^{-1}, M the derivative blocks minus `row`."""
-    m = grid.size
-    M = np.zeros((m * n, m * n))
-    D = _derivative_matrix(m, grid.h)
+    m, h, nodes = grid.size, grid.h, grid.nodes
+    data = [A for _, A in shifts] + ([] if vals is None else [vals, *edge])
+    cplx = any(np.iscomplexobj(v) and np.imag(v).any() for v in data)
+    typed = np.asarray if cplx else np.real
+    M = np.zeros((m * n, m * n), dtype=complex if cplx else float)
+    M4 = M.reshape(m, n, m, n)
+    D = _derivative_matrix(m, h)
     for a in range(n):
         M[a::n, a::n] += D
-    M = _fill(M, grid.nodes, grid.h, row)
-    wexp = weight_exponent(grid.nodes, *weights)
+    if vals is not None:
+        M4 -= _conv_rows(typed(vals), [typed(e) for e in edge], h).transpose(0, 2, 1, 3)
+    for xi, A in shifts:
+        xi = np.broadcast_to(xi, (m,))
+        hits = [(i, col, wgt) for i in range(m) for col, wgt in
+                (((i, 1.0),) if xi[i] == 0.0 else _interp_row(nodes[i] - xi[i], nodes, h))]
+        if hits:
+            r, c, wgt = (np.array(v) for v in zip(*hits))
+            M4[r, :, c, :] -= wgt[:, None, None] * np.broadcast_to(typed(A), (m, n, n))[r]
+    wexp = weight_exponent(nodes, *weights)
     wexp = wexp - wexp.max()  # normalize so the conjugation stays bounded
     W = np.exp(np.repeat(wexp, n))
     M *= W[:, None]
@@ -459,25 +457,41 @@ def _assembled(grid, n, row, weights):
                         weight_vector=W)
 
 
-def _typed(vals, edge, shifts):
-    """`_fill` row data: the real parts when no datum has an imaginary part.
+def _family_assembled(operator, grid, weights, adjoint):
+    """`_assembled` of a xi-dependent operator, or of its formal adjoint.
 
-    Returns (vals, edge, shifts, complex); this decides the matrix type.
+    The operator is an OperatorFamily or a callable xi -> Symbol.  Row i
+    of the operator has the kernel values K(xi_i - xi_j; xi_i), zero
+    without a kernel, and the shifts of at(xi_i); `assemble_adjoint`
+    gives the adjoint's rows.
     """
-    data = [A for _, A in shifts] + ([] if vals is None else [vals, *edge])
-    if any(np.any(np.imag(v)) for v in data):
-        return vals, edge, shifts, True
-    return (None if vals is None else np.real(vals),
-            None if edge is None else [np.real(v) for v in edge],
-            [(xi, np.real(A)) for xi, A in shifts], False)
-
-
-def _symbol_row(sym, zeta):
-    """`_typed` row data of one symbol, its kernel taken at the offsets zeta."""
-    shifts = [(s.xi, s.A) for s in sym.shifts]
-    if sym.kernel is None:
-        return _typed(None, None, shifts)
-    return _typed(sym.kernel.value(zeta), _edge_data(sym.kernel), shifts)
+    at = operator.at if isinstance(operator, OperatorFamily) else operator
+    s0 = at(0.0)
+    _check_resolution(s0, grid)
+    n, m, nodes = s0.n, grid.size, grid.nodes
+    syms = [at(x) for x in nodes]
+    kernels = [s.kernel for s in syms]
+    vals = None
+    if any(k is not None for k in kernels):
+        vals = np.zeros((m, m, n, n), dtype=complex)
+        for i, k in enumerate(kernels):
+            if k is not None:
+                vals[i] = k.value(nodes[i] - nodes)
+    rows = [[(t.xi, t.A) for t in s.shifts] for s in syms]
+    if adjoint:
+        if vals is not None:
+            vals = vals.transpose(1, 0, 3, 2)
+            np.negative(vals.real, out=vals.real)    # -K^H, in place
+        kernels = [None if k is None else k.adjoint() for k in kernels]
+        rows = [[(-xi, -(at(x + xi) if abs(x + xi) <= grid.L else s).shifts[k].A.conj().T)
+                 for k, (xi, _) in enumerate(row)]
+                for x, s, row in zip(nodes, syms, rows)]
+    zero = (np.zeros((n, n)),) * 4
+    edge = [np.array(e) for e in zip(*(zero if k is None else _edge_data(k) for k in kernels))]
+    pad = (0.0, np.zeros((n, n)))
+    shifts = [tuple(np.array(v) for v in zip(*(r[k] if k < len(r) else pad for r in rows)))
+              for k in range(max(map(len, rows)))]
+    return _assembled(grid, n, vals, edge, shifts, weights)
 
 
 def assemble(operator, grid, weights=(0.0, 0.0)):
@@ -486,57 +500,31 @@ def assemble(operator, grid, weights=(0.0, 0.0)):
     `weights` is the pair (gamma_minus, gamma_plus).  The returned
     matrix is D_W T D_W^{-1} with W = exp(weight exponent).
     """
-    at, const = _as_symbol_map(operator)
-    s0 = const if const is not None else at(0.0)
-    _check_resolution(s0, grid)
-    nodes = grid.nodes
-    m = len(nodes)
-    if const is None:
-        def row(i):
-            return _symbol_row(at(nodes[i]), nodes[i] - nodes)
-    else:
-        # one kernel table on the node offsets, indexed per row
-        table, edge, shifts, cplx = _symbol_row(const, grid.h * np.arange(-(m - 1), m))
-
-        def row(i):
-            return (None if table is None else table[i:i + m][::-1]), edge, shifts, cplx
-    return _assembled(grid, s0.n, row, weights)
+    if not isinstance(operator, Symbol):
+        return _family_assembled(operator, grid, weights, adjoint=False)
+    _check_resolution(operator, grid)
+    vals = edge = None
+    if operator.kernel is not None:
+        # one kernel table on the node offsets, viewed row by row
+        offsets = grid.h * np.arange(1 - grid.size, grid.size)
+        vals = _toeplitz_view(operator.kernel.value(offsets))
+        edge = _edge_data(operator.kernel)
+    return _assembled(grid, operator.n, vals, edge,
+                      [(s.xi, s.A) for s in operator.shifts], weights)
 
 
 def assemble_adjoint(operator, grid, weights=(0.0, 0.0)):
     """Assemble the formal adjoint operator with the given weights.
 
     For a constant symbol this is the adjoint symbol assembled normally.
-    For a xi-dependent operator the forward row rule gets adjoint row
-    data: row i has the kernel values -K(xi_j - xi_i; xi_j)^H, which
-    sample the family at the column base point, the kink and corner data
-    of the adjoint of K(.; xi_i), and the shifts (-xi_s, -A_s(xi_i + xi_s)^H).
+    For a xi-dependent operator row i has the kernel values
+    -K(xi_j - xi_i; xi_j)^H, which sample the family at the column base
+    point, the kink and corner data of the adjoint of K(.; xi_i), and the
+    shifts (-xi_s, -A_s(xi_i + xi_s)^H).
     """
-    at, const = _as_symbol_map(operator)
-    if const is not None:
-        return assemble(adjoint_symbol(const), grid, weights)
-    s0 = at(0.0)
-    n = s0.n
-    _check_resolution(s0, grid)
-    nodes = grid.nodes
-    m = len(nodes)
-    syms = [at(x) for x in nodes]
-    fwd = np.zeros((m, m, n, n), dtype=complex)   # fwd[j, i] = K(xi_j - xi_i; xi_j)
-    for j, sym in enumerate(syms):
-        if sym.kernel is not None:
-            fwd[j] = sym.kernel.value(nodes[j] - nodes)
-    no_edge = (np.zeros((n, n)),) * 4
-
-    def row(i):
-        sym = syms[i]
-        edge = no_edge if sym.kernel is None else _edge_data(sym.kernel.adjoint())
-        shifts = []
-        for k, s in enumerate(sym.shifts):
-            target = nodes[i] + s.xi
-            source = at(target) if abs(target) <= grid.L else sym
-            shifts.append((-s.xi, -source.shifts[k].A.conj().T))
-        return _typed(-np.conj(np.swapaxes(fwd[:, i], 1, 2)), edge, shifts)
-    return _assembled(grid, n, row, weights)
+    if isinstance(operator, Symbol):
+        return assemble(adjoint_symbol(operator), grid, weights)
+    return _family_assembled(operator, grid, weights, adjoint=True)
 
 
 @dataclass

@@ -9,23 +9,18 @@ These are the dense forms they replace, built from the window rows of
 
 import numpy as np
 
-from specflow.griddisc import _edge_data, _fill, _typed, fd_columns
+from specflow.griddisc import _conv_rows, _edge_data, _toeplitz_view, fd_columns
 
 
 def conv_matrix(kernel, m, n, h):
     """Trapezoid convolution matrix on m nodes of spacing h.
 
-    Block row i is the grid oracle's `_conv_row`, filled by `_fill` from
-    `_typed` row data, so the matrix is float64 unless some kernel datum
-    is complex.  The sign flip 0 - M leaves no negative zeros.
+    Its blocks are the grid oracle's `_conv_rows` of the kernel table on
+    the node offsets, in the kernel's value type.
     """
-    table, edge, _, cplx = _typed(kernel.value(h * np.arange(-(m - 1), m)),
-                                  _edge_data(kernel), [])
-
-    def row(i):
-        return table[i:i + m][::-1], edge, [], cplx
-    M = _fill(np.zeros((m * n, m * n)), h * np.arange(m), h, row)
-    return np.subtract(0.0, M, out=M)
+    C = _conv_rows(_toeplitz_view(kernel.value(h * np.arange(-(m - 1), m))),
+                   _edge_data(kernel), h)
+    return C.transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
 def dense_kprime_rows(sys):

@@ -454,6 +454,7 @@ def _pair_config(tmp_path):
     ["shock", "--config", "shock_scalar.json", "--eps", "abc"],
     ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "x"],
     ["shock", "--config", "shock_scalar.json", "--eps", "1e-3", "--b", "1,2,3"],
+    ["shock", "--config", "shock_zero_speed.json", "--eps", "1"],
     ["edge", "--config", "schrodinger_well.json", "--eps", "abc"],
     ["edge", "--config", "schrodinger_well.json", "--eps", "0"],
     ["edge", "--config", "schrodinger_well.json", "--eps", "0.04,0"],
@@ -461,8 +462,8 @@ def _pair_config(tmp_path):
     ["roots", "--config", "symbol", "--box", "a", "0", "0", "1"],
     ["index", "--config", "pair"],
 ], ids=["flow_scan_1", "shock_eps", "shock_b_text",
-        "shock_b_length", "edge_eps", "edge_eps_zero", "edge_eps_zero_entry",
-        "roots_empty_box", "roots_box_text",
+        "shock_b_length", "zero_speed_eps_max", "edge_eps", "edge_eps_zero",
+        "edge_eps_zero_entry", "roots_empty_box", "roots_box_text",
         "index_mixed_dimension"])
 def test_malformed_numeric_option_exit_code(tmp_path, symbol_config, argv):
     configs = {"symbol": str(symbol_config), "pair": _pair_config(tmp_path)}
@@ -471,6 +472,19 @@ def test_malformed_numeric_option_exit_code(tmp_path, symbol_config, argv):
     rc = run(argv + ["--out", str(tmp_path / "out")])
     assert rc == 2
     assert read_json(tmp_path / "out", "error.json")["kind"] == "configuration"
+
+
+@pytest.mark.parametrize("eps", ["abc", [0.001], float("nan")],
+                         ids=["text", "list", "nan"])
+def test_malformed_shock_config_eps(tmp_path, eps):
+    cfg = json.loads((CONFIGS / "shock_scalar.json").read_text())
+    cfg["eps"] = eps
+    path = tmp_path / "shock.json"
+    path.write_text(json.dumps(cfg))
+    rc = run(["shock", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = read_json(tmp_path / "out", "error.json")
+    assert err["kind"] == "configuration" and "eps" in err["error"]
 
 
 @pytest.mark.parametrize("kind", ["affine", "tabulated"])

@@ -226,6 +226,19 @@ def test_zero_speed_even_source_vanishing_moment():
         zero_speed_selection(model, 1e-3)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), 1.0, -0.06])
+def test_both_solvers_refuse_eps_beyond_eps_max(monkeypatch, eps):
+    # the check comes before any quadrature or Newton step
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature before the eps check")
+    monkeypatch.setattr(conslaw, "quad_vec", no_quadrature)
+    monkeypatch.setattr(conslaw, "_ShockSystem", no_quadrature)
+    with pytest.raises(ConfigurationError, match="eps_max"):
+        zero_speed_selection(zero_speed_model(), eps)
+    with pytest.raises(ConfigurationError, match="eps_max"):
+        shock_profile(scalar_model(), np.zeros(1), eps)
+
+
 def test_zero_speed_degenerate_pairing_raises():
     model = ShockModel(
         n=1, kernel=exponential_kernel(2.0, [[1.0]]),   # even kernel

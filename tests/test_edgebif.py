@@ -150,10 +150,18 @@ def test_scaling_intercept(monkeypatch):
         calls.append(model)
         return diffusive_check(model)
 
+    constants = []
+
+    def counted_constant(model, data=None):
+        constants.append(model)
+        return edge_constant(model, data)
+
     monkeypatch.setattr(edgebif, "diffusive_check", counted)
+    monkeypatch.setattr(edgebif, "edge_constant", counted_constant)
     sc = edge_scaling(schrodinger_model(), [0.04, 0.02, 0.01])
-    # the sweep builds its edge data once and hands it to every point
-    assert len(calls) == 1
+    # the sweep builds its edge data and its constant M once and hands
+    # them to every point
+    assert len(calls) == 1 and len(constants) == 1
     assert sc.intercept_rel_error < 0.02
     ratios = [q for _, _, q in sc.rows]
     assert all(abs(q - sc.M_squared) < 0.1 * sc.M_squared for q in ratios)

@@ -90,8 +90,132 @@ def test_matrix_type_comes_from_the_entries():
             for samples in (real + 1j * imag, real)]
     assert mats[0].dtype == complex and np.abs(mats[0].imag).max() > 1e-3
     assert mats[1].dtype == float
-    # real data gives the same real parts whichever type the fill uses
+    # real data gives the same real parts whichever type the build uses
     assert np.array_equal(mats[0].real, mats[1])
+    # a xi-dependent operator complex only for xi > 3, on both sides
+    g = Grid(L=10.0, h=0.05)
+    K = exponential_kernel(2.0, [[0.7]])
+
+    def complex_far(xi):
+        A = [[-1.0 + (0.2j if xi > 3.0 else 0.0)]]
+        return Symbol(1, K, (ShiftTerm(0.0, A), ShiftTerm(0.5, [[0.1]])), 1.5)
+
+    for build in (assemble, assemble_adjoint):
+        assert build(complex_far, g, (-0.2, 0.2)).matrix.dtype == complex
+    # a real affine homotopy with a kernel is float64 on both sides, and
+    # its values are the real parts of a complex-typed build: a complex
+    # shift whose targets all lie beyond the window changes no value
+    s_minus = Symbol(1, K, (ShiftTerm(0.0, [[-1.0]]), ShiftTerm(0.3, [[0.2]])), 1.5)
+    s_plus = Symbol(1, None, (ShiftTerm(0.0, [[1.0]]),), 1.5)
+    cplx_plus = Symbol(1, None, (ShiftTerm(0.0, [[1.0]]), ShiftTerm(-40.0, [[1j]])), 1.5)
+    for build in (assemble, assemble_adjoint):
+        flt = build(OperatorFamily.affine_homotopy(s_minus, s_plus), g, (-0.2, 0.2)).matrix
+        typed = build(OperatorFamily.affine_homotopy(s_minus, cplx_plus), g,
+                      (-0.2, 0.2)).matrix
+        assert flt.dtype == float and typed.dtype == complex
+        assert np.array_equal(typed.real, flt)
+
+
+def row_loop_matrix(operator, grid, weights, adjoint=False):
+    """Reference for the array build: the per-row loop it replaced.
+
+    Every row is filled in complex arithmetic from its own kernel values,
+    edge data and shifts; the result keeps its imaginary part exactly
+    when some datum has one.
+    """
+    m, h, nodes = grid.size, grid.h, grid.nodes
+    const = isinstance(operator, Symbol)
+    at = (lambda xi: operator) if const else getattr(operator, "at", operator)
+    syms = [at(x) for x in nodes]
+    n = syms[0].n
+    K = np.zeros((m, m, n, n), dtype=complex)    # K[i, j] = K(xi_i - xi_j; xi_i)
+    if const and operator.kernel is not None:
+        table = operator.kernel.value(h * np.arange(-(m - 1), m))
+        K = np.array([table[i:i + m][::-1] for i in range(m)])
+    elif not const:
+        for i, s in enumerate(syms):
+            if s.kernel is not None:
+                K[i] = s.kernel.value(nodes[i] - nodes)
+    if adjoint:
+        K = -np.conj(K.transpose(1, 0, 3, 2))
+    w, cc = griddisc.trapezoid_weights(m, h), h * h / 12.0
+    M = np.zeros((m * n, m * n), dtype=complex)
+    for a in range(n):
+        M[a::n, a::n] += griddisc._derivative_matrix(m, h)
+    cplx = bool(np.any(K.imag))
+    for i, s in enumerate(syms):
+        kernel = s.kernel if s.kernel is None or not adjoint else s.kernel.adjoint()
+        k_minus, k_plus, j0, j1 = ((np.zeros((n, n)),) * 4 if kernel is None
+                                   else griddisc._edge_data(kernel))
+        blk = K[i] * w[:, None, None]
+        if i == 0:
+            blk[0] = k_minus * w[0]
+        elif i == m - 1:
+            blk[-1] = k_plus * w[-1]
+        else:
+            blk[i] += cc * j1
+            blk[i - 1] -= cc * j0 * (-0.5 / h)
+            blk[i + 1] -= cc * j0 * (0.5 / h)
+        r = slice(i * n, (i + 1) * n)
+        M[r] -= blk.transpose(1, 0, 2).reshape(n, m * n)
+        for k, t in enumerate(s.shifts):
+            xi, A = t.xi, t.A
+            if adjoint:
+                source = at(nodes[i] + xi) if abs(nodes[i] + xi) <= grid.L else s
+                xi, A = -xi, -source.shifts[k].A.conj().T
+            cplx |= bool(np.any(np.imag(A)))
+            if xi == 0.0:
+                M[r, r] -= A
+            for col, wgt in (() if xi == 0.0 else griddisc._interp_row(nodes[i] - xi, nodes, h)):
+                M[r, col * n:(col + 1) * n] -= wgt * A
+        if kernel is not None:
+            cplx |= any(bool(np.any(np.imag(e))) for e in (k_minus, k_plus, j0, j1))
+    wexp = griddisc.weight_exponent(nodes, *weights)
+    W = np.exp(np.repeat(wexp - wexp.max(), n))
+    M *= W[:, None]
+    M *= (1.0 / W)[None, :]
+    return M if cplx else M.real
+
+
+def _complex_far(xi):
+    K = one_sided_exponential_kernel(2.0, [[0.7]], side=-1)
+    return Symbol(1, K, (ShiftTerm(0.0, [[-1.0 + (0.2j if xi > 3.0 else 0.0)]]),
+                         ShiftTerm(0.5, [[0.1]])), 1.5)
+
+
+def _kernel_near_left(xi):
+    K = exponential_kernel(2.0, [[0.7 + (0.3j if xi < -3.0 else 0.0)]])
+    return Symbol(1, K if xi < 1.0 else None,
+                  (ShiftTerm(0.0, [[-1.0 - 0.1 * np.tanh(xi)]]),), 1.5)
+
+
+@pytest.mark.parametrize("make", [
+    hyperbolic_symbol,
+    lambda: Symbol(1, one_sided_exponential_kernel(2.0, [[0.7]]),
+                   (ShiftTerm(0.0, [[-1.0]]), ShiftTerm(0.55, [[0.3 + 0.2j]]),
+                    ShiftTerm(-1.0, [[0.4]])), 1.5),
+    lambda: Symbol(2, gaussian_kernel(0.5, [[0.5, 0.2], [-0.1, 0.3]]),
+                   (ShiftTerm(0.0, [[-1.0, 0.2], [0.1, -0.5]]),), 2.0),
+    lambda: _complex_far,
+    lambda: _kernel_near_left,
+    lambda: OperatorFamily.affine_homotopy(
+        Symbol(1, exponential_kernel(2.0, [[0.7]]),
+               (ShiftTerm(0.0, [[-1.0]]), ShiftTerm(0.3, [[0.2]])), 1.5),
+        Symbol(1, None, (ShiftTerm(0.0, [[1.0]]),), 1.5), rho_min=-3.0, rho_max=3.0),
+], ids=["real", "complex_shift", "gaussian_n2", "complex_far", "partial_kernel",
+        "affine"])
+def test_array_build_is_the_row_loop(make):
+    # the array build does the row loop's arithmetic: equal bits, equal type
+    op = make()
+    g = Grid(L=10.0, h=0.1)
+    for build, adjoint in ((assemble, False), (assemble_adjoint, True)):
+        got = build(op, g, (-0.2, 0.3)).matrix
+        if adjoint and isinstance(op, Symbol):
+            op_ref, adjoint = adjoint_symbol(op), False
+        else:
+            op_ref = op
+        ref = row_loop_matrix(op_ref, g, (-0.2, 0.3), adjoint)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_ode_rows_second_order():
