@@ -22,11 +22,10 @@ K' * F(U) is the window rows of one kink-corrected trapezoid convolution
 beyond the window, plus the exact tails of the constant far states (the
 nu = 0 case of the edge layer's far fields).  The Jacobian's V block is
 the Toeplitz table T of those rows times the flux derivative, plus a
-local band.  A rational kernel (config families `exponential`,
-`one_sided_exponential`, `exp_poly`) applies its rows in O(N), and its
-Jacobian is held as Q J with a banded annihilator Q
-(`griddisc.Annihilated`), so each Newton step is one sparse solve; any
-other kernel has a dense block Toeplitz Jacobian.
+local band, and `griddisc.WindowJacobian` picks its form.  An
+exponential kernel (config families `exponential`,
+`one_sided_exponential`, `exp_poly`) applies its rows in O(N), and each
+Newton step is one sparse solve; any other kernel gives a dense Jacobian.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from scipy.integrate import quad_vec
 
 from .errors import (ConfigurationError, DegeneracyViolated, NonrealSpectrum,
                      RepeatedSpeeds, SingularMatrix)
-from .griddisc import (Annihilated, Convolution, Grid, WeightedWindow,
-                       block_sparse, block_toeplitz, fd_columns, newton_solve)
+from .griddisc import (Convolution, Grid, WeightedWindow, WindowJacobian,
+                       block_sparse, fd_columns, newton_solve)
 from .kernels import _real
 from .symbols import ShiftTerm, Symbol
 from .flow import weighted_index
@@ -236,44 +235,13 @@ class _ShockSystem(WeightedWindow):
         self.chi_m_ext = 0.5 * (1.0 - np.tanh(self.x_ext))
         self.tail_right, self.tail_left = self.far_tails(dK, 0.0, 0.0)
 
-        # the V block of the Jacobian is T D_F plus a local band: T the
-        # Toeplitz table of the window rows of K' plus the jump of K on
-        # the diagonal, and Dx the derivative chain D4 - diag(w')
+        # the Jacobian's table T: the window rows of K' plus the jump of K
+        # on the diagonal; Dx is the derivative chain D4 - diag(w')
         m = self.m
         T = self.conv.table(m)
         T[m - 1] += np.real(self.K_jump)
         self.Dx = (self.D4 - sparse.diags(self.dwexp)).tocoo()
-        if self.conv.rational:
-            self._init_annihilated(T)
-        else:
-            self.T_dense = block_toeplitz(T)
-
-    def _init_annihilated(self, T):
-        """The constant parts of the annihilated Jacobian.
-
-        QT is the annihilated form of the table T.  The column norms of
-        the V block T D_F + local split at the band w of Dx: `T_near`
-        holds the offsets |i - j| <= w, and `far_gram[j]` sums
-        T(d)^T T(d) over the rows of column j beyond, so the far part of
-        a squared norm is D_j^T far_gram[j] D_j.
-        """
-        m, n = self.m, self.n
-        self.QT = self.conv.annihilate(T, m)
-        self.Qn = sparse.kron(self.conv.annihilator(m), np.eye(n), format="csr")
-        Dx = self.Dx
-        w = int(np.abs(Dx.row - Dx.col).max())
-        rows = np.repeat(np.arange(m), 2 * w + 1)
-        cols = rows - np.tile(np.arange(-w, w + 1), m)
-        keep = (cols >= 0) & (cols < m)
-        rows, cols = rows[keep], cols[keep]
-        self.T_near = block_sparse(rows, cols, T[m - 1 + rows - cols], (m * n, m * n))
-        gram = np.einsum("dab,dac->dbc", T, T)
-        zero = np.zeros((1, n, n))
-        up = np.concatenate([zero, np.cumsum(gram[m + w:], axis=0)])
-        down = np.concatenate([zero, np.cumsum(gram[m - 2 - w::-1], axis=0)])
-        nodes = np.arange(m)
-        self.far_gram = (up[np.maximum(m - 1 - w - nodes, 0)]
-                         + down[np.maximum(nodes - w, 0)])
+        self.jacobian_form = WindowJacobian(self, [(self.conv, T, None)])
 
     # -- helpers ----------------------------------------------------------
 
@@ -308,7 +276,7 @@ class _ShockSystem(WeightedWindow):
         F_ext = self.model.flux_F(U_ext)
         U, FU = U_ext[self.win], F_ext[self.win]
         Up = self.profile_derivative(a, b, V)
-        R = self.kprime(F_ext)
+        R = self.conv.apply(F_ext)[self.win]            # K' * F on the window
         R = R + np.einsum("mij,j->mi", self.tail_right,
                           self.model.flux_F((self.E @ a)[None, :])[0])
         R = R + np.einsum("mij,j->mi", self.tail_left,
@@ -325,20 +293,14 @@ class _ShockSystem(WeightedWindow):
             R = np.append(R, a[self.free_b] + b[self.free_b])
         return R
 
-    def kprime(self, F_ext):
-        """Window rows of the K' convolution of F given on the extended grid."""
-        return self.conv.apply(F_ext)[self.win]
-
     def jacobian(self, z, res):
-        """Jacobian in (a, free b, active V): dense, or `Annihilated`.
+        """Jacobian in (a, free b, active V), in `griddisc.WindowJacobian`'s form.
 
         The leading columns are forward differences.  The V block is
         analytic: d/dV of F(U) is (K' rows on the window columns plus
         I kron K_jump) times the block diagonal D_F of Fu(U) / W; d/dV of
         dG(U) U' is the local band: the quadratic-G diagonal plus the
         transport of the derivative, block (i, j) dG(U_i) Dx[i, j] / W_i.
-        A rational kernel's Jacobian is held annihilated, any other one
-        is the dense block Toeplitz of T times D_F plus the band.
         """
         n, m = self.n, self.m
         a, b, V = self.unpack(z)
@@ -348,39 +310,15 @@ class _ShockSystem(WeightedWindow):
         DF = self.model.dflux_F(U) * invW[:, None, None]
         dGU = self.model.dflux_G(U)
         Jp = fd_columns(self.residual, z, res, self.n_params)
-        nodes = np.arange(m)
         shape = (m * n, m * n)
         Dx = self.Dx
         local = block_sparse(Dx.row, Dx.col,
                              dGU[Dx.row] * (Dx.data * invW[Dx.row])[:, None, None], shape)
         if self.model.G2 is not None:
             G2U = np.einsum("ijk,mk->mij", self.model.G2, Up) * invW[:, None, None]
+            nodes = np.arange(m)
             local = local + block_sparse(nodes, nodes, G2U, shape)
-        if self.conv.rational:
-            return self._annihilated_jacobian(DF, local, Jp)
-        JV = np.einsum("rik,ikj->rij", self.T_dense.reshape(m * n, m, n), DF).reshape(shape)
-        JV += local.toarray()
-        if self.free_b is not None:
-            JV = np.vstack([JV, np.zeros((1, JV.shape[1]))])
-        return np.hstack([Jp, JV[:, self.active_flat]])
-
-    def _annihilated_jacobian(self, DF, local, Jp):
-        """Q J as one sparse matrix: QT D_F plus Q times the local band."""
-        n, m = self.n, self.m
-        nodes = np.arange(m)
-        DFmat = block_sparse(nodes, nodes, DF, (m * n, m * n))
-        QJV = self.QT @ DFmat + self.Qn @ local
-        near = self.T_near @ DFmat + local
-        colnorm = np.sqrt(np.asarray(near.multiply(near).sum(axis=0)).ravel()
-                          + np.einsum("jab,jac,jcb->jb", DF, self.far_gram, DF).ravel())
-        Q = self.Qn
-        if self.free_b is not None:
-            QJV = sparse.vstack([QJV, sparse.csr_matrix((1, m * n))])
-            Q = sparse.block_diag([Q, sparse.identity(1)], format="csr")
-        QJ = sparse.hstack([sparse.csc_matrix(Q @ Jp),
-                            QJV.tocsc()[:, self.active_flat]], format="csc")
-        return Annihilated(QJ, Q, np.concatenate([np.linalg.norm(Jp, axis=0),
-                                                  colnorm[self.active_flat]]))
+        return self.jacobian_form(Jp, local, DF)
 
 
 def _check_eps(model, eps):

@@ -18,7 +18,8 @@ The eigenfunction is sought with far fields carried analytically,
 g^2 = lambda, so the slowly decaying modes never meet the grid
 truncation; only the fast-decaying remainder w lives on the window.  A
 kernel meets them through the window rows of one `griddisc.Convolution`
-on the extended grid, and beyond it exactly, through partial transforms.
+on the extended grid, and beyond it exactly, through partial transforms;
+`griddisc.WindowJacobian` picks the form of the Newton Jacobian.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.integrate import quad
 from .charmatrix import _cauchy_derivatives, axis_cutoff, delta_eval
 from .errors import (CompatibilityViolated, GenericityViolated, NewtonDiverged,
                      RankMismatch)
-from .griddisc import (Convolution, Grid, WeightedWindow, block_toeplitz,
+from .griddisc import (Convolution, Grid, WeightedWindow, WindowJacobian,
                        fd_columns, newton_solve)
 from .kernels import _real
 from .roots import Rectangle, newton_root
@@ -354,21 +355,18 @@ class _EdgeSystem(WeightedWindow):
         self.chain = self.scale @ (sparse.kron(self.D4, np.eye(n))
                                    - sparse.diags(np.repeat(self.dwexp, n)))
 
-        # the kernels' convolutions and their constant part of the w block,
-        # the block Toeplitz matrix of the window rows.  Their tables reach
-        # past the nodes where EdgeModel refused complex kernels, and
-        # Convolution refuses a complex value there as well
-        self.conv = self.pert_conv = self.kernel_block = None
-        block = 0.0
+        # the kernels' convolutions and their terms of the w block, times
+        # 1/W at the input node.  Their tables reach past the nodes where
+        # EdgeModel refused complex kernels; Convolution refuses them too
+        self.conv = self.pert_conv = None
+        terms = []
         if model.kernel is not None:
             self.conv = Convolution(model._kernel_neg, self.h)
-            block = block - block_toeplitz(self.conv.table(self.m))
+            terms.append((self.conv, -self.conv.table(self.m), None))
         if model.pert_kernel is not None:
             self.pert_conv = Convolution(model.pert_kernel, self.h, "perturbation kernel")
-            block = block + np.repeat(self.eps * self.Vx, n)[:, None] * block_toeplitz(
-                self.pert_conv.table(self.m))
-        if self.conv is not None or self.pert_conv is not None:
-            self.kernel_block = block * self.scale.diagonal()
+            terms.append((self.pert_conv, self.pert_conv.table(self.m), self.eps * self.Vx))
+        self.jacobian_form = WindowJacobian(self, terms, 1.0 / self.Wvec)
 
     # -- far-field data ---------------------------------------------------
 
@@ -422,24 +420,18 @@ class _EdgeSystem(WeightedWindow):
         return R.reshape(-1)
 
     def jacobian(self, z, res):
-        """Jacobian in (a_-, gamma, active w).
+        """Jacobian in (a_-, gamma, active w), in `griddisc.WindowJacobian`'s form.
 
         The two leading columns are forward differences.  The w block is
-        analytic: a scipy.sparse band without kernels, a dense array when
-        `kernel_block` adds the convolutions.
+        analytic: the derivative chain and the zero-shift and Dirac terms
+        form the band, and the kernels enter as the builder's terms.
         """
         gamma = z[1]
         local = -sparse.kron(sparse.identity(self.m), self.model.zero_shift(gamma * gamma))
         if self.model.P is not None:
             local = local + self.eps * sparse.kron(sparse.diags(self.Vx), self.model.P)
         JW = self.chain + local @ self.scale
-
-        Jp = fd_columns(self.residual, z, res, 2)
-        if self.kernel_block is None:
-            return sparse.hstack([Jp, sparse.csc_matrix(JW)[:, self.active_flat]],
-                                 format="csc")
-        JW = JW.toarray() + self.kernel_block
-        return np.hstack([Jp, JW[:, self.active_flat]])
+        return self.jacobian_form(fd_columns(self.residual, z, res, 2), JW)
 
 
 def edge_eigenvalue(model, eps, grid=_GRID, data=None):

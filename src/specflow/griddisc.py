@@ -17,8 +17,9 @@ The same discretization kit serves the two Newton applications: one
 trapezoid-plus-kink convolution (`Convolution`; its corrections read the
 jumps of K and K' at 0 from `KernelSpec.jump`) whose window rows on an
 extended grid, plus exact tails beyond it, give K * U, the fourth-order
-difference matrix, the weighted window of a decaying correction, and
-one damped Newton solver.
+difference matrix, the weighted window of a decaying correction, one
+Jacobian builder that picks its form (`WindowJacobian`) and one damped
+Newton solver.
 
 Kernel and cokernel dimensions are then estimated from the singular
 value spectrum: truncation perturbs exact zero singular values to
@@ -57,8 +58,7 @@ __all__ = [
     "Grid", "GridOperator", "NullityResult", "assemble", "nullity",
     "index_estimate", "solve_inhomogeneous", "weight_exponent",
     "trapezoid_weights", "fd4_matrix", "WeightedWindow", "newton_solve",
-    "fd_columns", "Convolution", "Annihilated", "block_sparse",
-    "block_toeplitz",
+    "fd_columns", "Convolution", "Annihilated", "WindowJacobian", "block_sparse",
 ]
 
 _TOL_RATIO = 1e3            # singular-value gap that makes a spectral cut clear
@@ -201,6 +201,15 @@ def _toeplitz_view(T):
     return sliding_window_view(T, m, axis=0)[..., ::-1].transpose(0, 3, 1, 2)
 
 
+def _block_band(blocks, offsets):
+    """CSR matrix with block (i, i - offsets[k]) = blocks[i, k]; blocks past an edge drop."""
+    m, n = len(blocks), blocks.shape[-1]
+    rows = np.repeat(np.arange(m), len(offsets))
+    cols = rows - np.tile(offsets, m)
+    keep = (cols >= 0) & (cols < m)
+    return block_sparse(rows[keep], cols[keep], blocks.reshape(-1, n, n)[keep], (m * n, m * n))
+
+
 def block_sparse(rows, cols, blocks, shape):
     """CSR matrix with the n x n block (rows[k], cols[k]) = blocks[k]; repeats add."""
     blocks = np.asarray(blocks)
@@ -251,12 +260,6 @@ class _ExpPolySweep:
         y = (np.einsum("ij,bjn->bin", self.local, blocks)
              + np.einsum("iq,bqn->bin", self.inward, moments))
         return y.reshape(-1, x.shape[1])[:m]
-
-
-def block_toeplitz(T):
-    """Dense (m n, m n) block Toeplitz matrix of a table T: block (i, j) = T[m - 1 + i - j]."""
-    view = _toeplitz_view(T)
-    return view.transpose(0, 2, 1, 3).reshape(len(view) * T.shape[-1], -1)
 
 
 class Convolution:
@@ -353,31 +356,21 @@ class Convolution:
     def annihilator(self, m):
         """Q on m nodes (CSR), invertible and banded (see `_stencils`)."""
         coef, KL, KU = self._stencils(m)
-        e = np.arange(-KL, KU + 1)
-        rows = np.repeat(np.arange(m), len(e))
-        cols = rows + np.tile(e, m)
-        keep = (cols >= 0) & (cols < m)
-        return sparse.csr_matrix((coef.ravel()[keep], (rows[keep], cols[keep])),
-                                 shape=(m, m))
+        return _block_band(coef[:, :, None, None], -np.arange(-KL, KU + 1))
 
     def annihilate(self, T, m):
         """(Q kron I_n) times the block Toeplitz matrix of the table T (CSR).
 
-        T may differ from `table(m)` at offsets |d| <= 1 only.  Every row
-        of the product vanishes beyond the offsets d = i - j in
-        -(KU + 1) .. KL + 1, so only that band is formed:
+        T may differ from a multiple of `table(m)` at offsets |d| <= 1
+        only.  Every row of the product vanishes beyond the offsets
+        d = i - j in -(KU + 1) .. KL + 1, so only that band is formed:
         block (i, i - d) = sum_e Q[i, i + e] T(d + e).
         """
         coef, KL, KU = self._stencils(m)
         d = np.arange(-(KU + 1), KL + 2)
         e = np.arange(-KL, KU + 1)
-        blocks = np.einsum("ie,deab->idab", coef, T[m - 1 + d[:, None] + e[None, :]])
-        rows = np.repeat(np.arange(m), len(d))
-        cols = rows - np.tile(d, m)
-        keep = (cols >= 0) & (cols < m)
-        n = T.shape[-1]
-        return block_sparse(rows[keep], cols[keep], blocks.reshape(-1, n, n)[keep],
-                            (m * n, m * n))
+        return _block_band(np.einsum("ie,deab->idab", coef,
+                                     T[m - 1 + d[:, None] + e[None, :]]), d)
 
 
 def _derivative_matrix(m, h):
@@ -483,8 +476,9 @@ def _family_assembled(operator, grid, weights, adjoint):
             vals = vals.transpose(1, 0, 3, 2)
             np.negative(vals.real, out=vals.real)    # -K^H, in place
         kernels = [None if k is None else k.adjoint() for k in kernels]
-        rows = [[(-xi, -(at(x + xi) if abs(x + xi) <= grid.L else s).shifts[k].A.conj().T)
-                 for k, (xi, _) in enumerate(row)]
+        # A_s(xi_i + xi_s): the row's own symbol at xi_s = 0 and past the window
+        rows = [[(-xi, -(at(x + xi) if xi and abs(x + xi) <= grid.L else s)
+                  .shifts[k].A.conj().T) for k, (xi, _) in enumerate(row)]
                 for x, s, row in zip(nodes, syms, rows)]
     zero = (np.zeros((n, n)),) * 4
     edge = [np.array(e) for e in zip(*(zero if k is None else _edge_data(k) for k in kernels))]
@@ -840,6 +834,81 @@ class Annihilated:
     QJ: sparse.spmatrix
     Q: sparse.spmatrix
     colnorm: np.ndarray
+
+
+class WindowJacobian:
+    """The Jacobian of a weighted-window Newton system, in the form `_ls_step` takes.
+
+    Columns Jp (forward differences), then the window's active unknowns;
+    rows of Jp past the window's (a gauge row, with terms) are zero there.  The window
+    block is a band within the reach of `D4` plus sum_t diag(r_t) T_t D
+    over the terms (conv, T_t, r_t): T_t the block Toeplitz matrix of a
+    `Convolution.table`, r_t None or a factor per row node, D block
+    diagonal (m, n, n), or constant and given here as a scalar per node.
+    J is sparse without terms, `Annihilated` for one term of a rational
+    Convolution without r_t, else dense.  Its column norms then split at
+    the band half-width w: `T_near` holds the offsets |i - j| <= w, and
+    `far_gram[j]` sums T(d)^T T(d) over the rows of column j beyond.
+    """
+
+    def __init__(self, window, terms, D=None):
+        m, n = window.m, window.n
+        self.active, self.shape = window.active_flat, (m * n, m * n)
+        self.D = None if D is None else D[:, None, None] * np.eye(n)
+        self.QT = self.table = None
+        if len(terms) == 1 and terms[0][0].rational and terms[0][2] is None:
+            conv, T, _ = terms[0]
+            self.QT = conv.annihilate(T, m)
+            self.Q = sparse.kron(conv.annihilator(m), np.eye(n), format="csr")
+            D4 = window.D4.tocoo()
+            w = int(np.abs(D4.row - D4.col).max())
+            d = np.arange(-w, w + 1)
+            self.T_near = _block_band(np.broadcast_to(T[m - 1 + d], (m, len(d), n, n)), d)
+            gram = np.einsum("dab,dac->dbc", T, T)
+            zero = np.zeros((1, n, n))
+            up = np.concatenate([zero, np.cumsum(gram[m + w:], axis=0)])
+            down = np.concatenate([zero, np.cumsum(gram[m - 2 - w::-1], axis=0)])
+            nodes = np.arange(m)
+            self.far_gram = (up[np.maximum(m - 1 - w - nodes, 0)]
+                             + down[np.maximum(nodes - w, 0)])
+        elif terms:
+            # the dense sum_t diag(r_t) T_t, and its product with a constant D
+            for _, T, rows in terms:
+                part = _toeplitz_view(T).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+                if rows is not None:
+                    part = np.repeat(rows, n)[:, None] * part
+                self.table = part if self.table is None else self.table + part
+            self.table = (self.table.reshape(m * n, m, n) if D is None
+                          else self.table * np.repeat(D, n))
+
+    def __call__(self, Jp, band, D=None):
+        """J from this step's leading columns Jp, band and D."""
+        active, N = self.active, self.shape[1]
+        gauge = len(Jp) - N
+        if self.QT is not None:
+            D = self.D if D is None else D
+            Dmat = block_sparse(np.arange(len(D)), np.arange(len(D)), D, self.shape)
+            near = self.T_near @ Dmat + band
+            colnorm = np.sqrt(np.asarray(near.multiply(near).sum(axis=0)).ravel()
+                              + np.einsum("jab,jac,jcb->jb", D, self.far_gram, D).ravel())
+            QJV, Q = self.QT @ Dmat + self.Q @ band, self.Q
+            if gauge:
+                QJV = sparse.vstack([QJV, sparse.csr_matrix((gauge, N))])
+                Q = sparse.block_diag([Q, sparse.identity(gauge)], format="csr")
+            QJ = sparse.hstack([sparse.csc_matrix(Q @ Jp), QJV.tocsc()[:, active]],
+                               format="csc")
+            return Annihilated(QJ, Q, np.concatenate([np.linalg.norm(Jp, axis=0),
+                                                      colnorm[active]]))
+        if self.table is None:
+            return sparse.hstack([Jp, sparse.csc_matrix(band)[:, active]], format="csc")
+        if self.D is None:
+            JV = np.einsum("rik,ikj->rij", self.table, D).reshape(self.shape)
+            JV += band.toarray()
+        else:
+            JV = band.toarray() + self.table
+        if gauge:
+            JV = np.vstack([JV, np.zeros((gauge, N))])
+        return np.hstack([Jp, JV[:, active]])
 
 
 def _ls_step(J, res):

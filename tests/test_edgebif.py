@@ -12,6 +12,7 @@ from specflow.griddisc import Grid, assemble, fd_columns, nullity
 from specflow.kernels import ExpPolyKernel, gaussian_kernel
 
 from oracles import shallow_well_eigenvalue
+from shock_reference import annihilated_to_dense
 
 
 def schrodinger_model(pert_sign=+1.0):
@@ -336,8 +337,9 @@ def test_edge_convolution_matches_quadrature(make):
 
 
 @pytest.mark.parametrize("make, form", [(schrodinger_model, "sparse"),
-                                        (kernel_perturbation_model, "dense")],
-                         ids=["dirac", "kernel"])
+                                        (kernel_perturbation_model, "dense"),
+                                        (scalar_diffusive_model, "annihilated")],
+                         ids=["dirac", "kernel", "rational_kernel"])
 def test_edge_jacobian_matches_differences(make, form):
     model = make()
     data = edge_vectors(model)
@@ -347,11 +349,33 @@ def test_edge_jacobian_matches_differences(make, form):
                         1e-3 * rng.standard_normal(int(sys.active_flat.sum()))])
     res = sys.residual(z)
     J = sys.jacobian(z, res)
-    # a band without kernel matrices, dense once a convolution enters
+    # a band without kernel matrices, annihilated for one exponential
+    # kernel and a Dirac perturbation, dense for a perturbation kernel
+    assert isinstance(J, griddisc.Annihilated) == (form == "annihilated")
     assert sparse.issparse(J) == (form == "sparse")
+    if form == "annihilated":
+        colnorm = J.colnorm
+        J = annihilated_to_dense(J)
+        assert np.abs(colnorm / np.linalg.norm(J, axis=0) - 1).max() <= 1e-12
     J = J.toarray() if sparse.issparse(J) else J
     J_fd = fd_columns(sys.residual, z, res, len(z))
     assert np.linalg.norm(J - J_fd) <= 1e-6 * np.linalg.norm(J_fd)
+
+
+def test_rational_edge_kernel_runs_no_dense_solve(monkeypatch):
+    # one exponential kernel and a Dirac perturbation take the annihilated
+    # step: neither the dense block Toeplitz table nor the Cholesky factor
+    # of the normal equations is ever formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(griddisc, "cho_factor", refuse)
+    monkeypatch.setattr(griddisc, "_toeplitz_view", refuse)
+    model = scalar_diffusive_model()
+    M = edge_constant(model)
+    r = edge_eigenvalue(model, 0.25 / abs(M), grid=Grid(L=60.0, h=0.1))
+    assert r.iterations == 5
+    assert r.lam / (0.25 / M) ** 2 == pytest.approx(M * M, rel=0.45)
 
 
 def test_edge_steps_stay_out_of_sawtooth_modes(monkeypatch):

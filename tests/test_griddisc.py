@@ -1,4 +1,5 @@
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 from specflow import griddisc
+from specflow.configio import family_from_json, load_config
 from specflow.errors import (ConfigurationError, GridTooCoarse, NewtonDiverged,
                              TailUnresolved)
 from specflow.flow import weighted_index
@@ -114,6 +116,25 @@ def test_matrix_type_comes_from_the_entries():
                       (-0.2, 0.2)).matrix
         assert flt.dtype == float and typed.dtype == complex
         assert np.array_equal(typed.real, flt)
+
+
+def test_family_is_evaluated_once_per_node(monkeypatch):
+    # the adjoint's shift at xi = 0 reads the row's own symbol, so the
+    # forward and the adjoint build each evaluate the family at 0 and
+    # once per node
+    configs = Path(__file__).resolve().parents[1] / "src" / "specflow" / "configs"
+    family = family_from_json(load_config(configs / "tanh_scalar.json"))
+    calls = []
+    at = OperatorFamily.at
+
+    def counted(self, rho):
+        calls.append(rho)
+        return at(self, rho)
+
+    monkeypatch.setattr(OperatorFamily, "at", counted)
+    g = Grid(L=10.0, h=0.1)
+    index_estimate(family, g, -0.3, 0.3)
+    assert len(calls) <= 2 * g.size + 2
 
 
 def row_loop_matrix(operator, grid, weights, adjoint=False):
